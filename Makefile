@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint check ci chaos fmt serve profile bench benchgate loadtest
+.PHONY: build test race vet lint check ci chaos fmt serve profile bench benchgate loadtest perfpairs
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,19 @@ benchgate:
 ## contract. Knobs: LOADTEST_DURATION, LOADTEST_BUDGET, LOADTEST_SEED.
 loadtest:
 	./scripts/loadgate.sh
+
+## perfpairs runs PAIRS alternating parent/change passes of the
+## repository benchmark (_perfbench) on one workload, a distinct seed
+## per pair, and prints per-pair and overall comparisons plus the
+## ten-pair verdict for each end-to-end metric (scripts/perfpairs.sh).
+## The change side is this working tree; PARENT is any commit.
+PARENT ?= HEAD
+WORKLOAD ?= dashboard
+PAIRS ?= 10
+RUN_SECONDS ?= 30
+SEED ?= 1
+perfpairs:
+	./scripts/perfpairs.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS) $(SEED)
 
 fmt:
 	gofmt -w .

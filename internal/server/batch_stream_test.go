@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -254,44 +255,70 @@ func TestSweepStreamValidation(t *testing.T) {
 	wantError(t, status, out, http.StatusNotFound, "not_found")
 }
 
-// gzipGet performs a GET with an explicit Accept-Encoding so the Go
-// client's transparent decompression stays out of the way, returning the
-// raw response.
-func gzipGet(t *testing.T, url string) *http.Response {
+// encodedGet performs a GET with an explicit Accept-Encoding, which
+// keeps the Go client's transparent decompression out of the way, and
+// returns the raw response with its body read.
+func encodedGet(t *testing.T, url, acceptEncoding string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Accept-Encoding", "gzip")
+	req.Header.Set("Accept-Encoding", acceptEncoding)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() })
-	return resp
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
 }
 
 // TestGzipNegotiation: a large buffered response compresses when asked,
-// decompresses to the exact bytes a plain client gets, and stays raw for
-// clients that don't (or refuse to) accept gzip.
+// once: a repeat gzip GET is served the same compressed bytes, with
+// their Content-Length, from the cache. The gzip body decompresses to
+// the exact bytes a plain client gets, plain clients and clients that
+// refuse gzip get those bytes raw, and every variant carries Vary.
 func TestGzipNegotiation(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	url := ts.URL + "/v1/platforms/gtx-titan/roofline?points=200"
 
-	_, plain := get(t, url)
+	var zipped [2][]byte
+	var evals [2]int64
+	for i := range zipped {
+		resp, body := encodedGet(t, url, "gzip")
+		if ce := resp.Header.Get("Content-Encoding"); ce != "gzip" {
+			t.Fatalf("GET %d: Content-Encoding = %q, want gzip", i, ce)
+		}
+		if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
+			t.Errorf("GET %d: Vary = %q, want Accept-Encoding", i, vary)
+		}
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) {
+			t.Errorf("GET %d: Content-Length = %q for a %d-byte body", i, cl, len(body))
+		}
+		zipped[i], evals[i] = body, s.ModelEvals()
+	}
+	if !bytes.Equal(zipped[0], zipped[1]) {
+		t.Errorf("cache hit sent %d compressed bytes, first GET sent %d different ones", len(zipped[1]), len(zipped[0]))
+	}
+	if evals[1] != evals[0] {
+		t.Errorf("second gzip GET ran the model: evals %d -> %d", evals[0], evals[1])
+	}
+
+	resp, plain := encodedGet(t, url, "identity")
+	if ce := resp.Header.Get("Content-Encoding"); ce != "" {
+		t.Errorf("plain GET: Content-Encoding = %q, want identity", ce)
+	}
+	if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
+		t.Errorf("plain GET: Vary = %q, want Accept-Encoding", vary)
+	}
 	if len(plain) < gzipMinBytes {
 		t.Fatalf("test body too small (%d bytes) to exercise compression", len(plain))
 	}
-
-	resp := gzipGet(t, url)
-	if ce := resp.Header.Get("Content-Encoding"); ce != "gzip" {
-		t.Fatalf("Content-Encoding = %q, want gzip", ce)
-	}
-	if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
-		t.Errorf("Vary = %q, want Accept-Encoding", vary)
-	}
-	gr, err := gzip.NewReader(resp.Body)
+	gr, err := gzip.NewReader(bytes.NewReader(zipped[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,56 +331,57 @@ func TestGzipNegotiation(t *testing.T) {
 	}
 
 	// An explicit q=0 refuses gzip even though the token is present.
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept-Encoding", "gzip;q=0")
-	raw, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Body.Close()
-	if ce := raw.Header.Get("Content-Encoding"); ce != "" {
-		t.Errorf("Content-Encoding = %q with q=0, want identity", ce)
+	if resp, body := encodedGet(t, url, "gzip;q=0"); resp.Header.Get("Content-Encoding") != "" || !bytes.Equal(body, plain) {
+		t.Errorf("q=0 GET: Content-Encoding = %q, want the identity body", resp.Header.Get("Content-Encoding"))
 	}
 }
 
 // TestGzipSkipsSmallBodies: tiny responses are cheaper raw than framed.
 func TestGzipSkipsSmallBodies(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp := gzipGet(t, ts.URL+"/healthz")
+	resp, _ := encodedGet(t, ts.URL+"/healthz", "gzip")
 	if ce := resp.Header.Get("Content-Encoding"); ce != "" {
 		t.Errorf("Content-Encoding = %q for a tiny body, want identity", ce)
 	}
 }
 
 // TestSweepStreamGzip: the NDJSON stream compresses end to end and
-// still parses line by line after decompression.
+// still parses line by line after decompression; gzip and plain streams
+// alike carry Vary.
 func TestSweepStreamGzip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep/stream",
-		strings.NewReader(`{"platform_id":"gtx-titan","points":2000,"chunk_points":500}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ce := resp.Header.Get("Content-Encoding"); ce != "gzip" {
-		t.Fatalf("Content-Encoding = %q, want gzip", ce)
-	}
-	gr, err := gzip.NewReader(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, chunks, trailer := readStream(t, gr)
-	if len(chunks) != 4 || !trailer.Done || trailer.Points != 2000 {
-		t.Errorf("got %d chunks, trailer %+v; want 4 chunks done with 2000 points", len(chunks), trailer)
+	for _, ae := range []string{"gzip", "identity"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep/stream",
+			strings.NewReader(`{"platform_id":"gtx-titan","points":2000,"chunk_points":500}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Accept-Encoding", ae)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
+			t.Errorf("%s stream: Vary = %q, want Accept-Encoding", ae, vary)
+		}
+		var body io.Reader = resp.Body
+		ce := resp.Header.Get("Content-Encoding")
+		if ae == "gzip" {
+			if ce != "gzip" {
+				t.Fatalf("gzip stream: Content-Encoding = %q, want gzip", ce)
+			}
+			if body, err = gzip.NewReader(resp.Body); err != nil {
+				t.Fatal(err)
+			}
+		} else if ce != "" {
+			t.Fatalf("identity stream: Content-Encoding = %q, want none", ce)
+		}
+		_, chunks, trailer := readStream(t, body)
+		if len(chunks) != 4 || !trailer.Done || trailer.Points != 2000 {
+			t.Errorf("%s stream: got %d chunks, trailer %+v; want 4 chunks done with 2000 points", ae, len(chunks), trailer)
+		}
 	}
 }
 
@@ -372,6 +400,10 @@ func TestAcceptsGzip(t *testing.T) {
 		{"*", true},
 		{"identity", false},
 		{"br;q=1.0, identity;q=0.5", false},
+		// An explicit gzip entry outranks "*", and q is case-insensitive.
+		{"*, gzip;q=0", false},
+		{"*;q=0, gzip", true},
+		{"gzip;Q=0", false},
 	}
 	for _, c := range cases {
 		r, _ := http.NewRequest(http.MethodGet, "/", nil)

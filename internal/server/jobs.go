@@ -1,11 +1,9 @@
 package server
 
 import (
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"time"
 
@@ -336,7 +334,7 @@ type jobEventsTrailer struct {
 // handleJobEvents serves GET /v1/jobs/{id}/events: the job's progress
 // events as NDJSON — the retained history first, then live events as
 // they happen, ending with a trailer once the job is terminal. Uses the
-// same flush-per-line + gzip machinery as the sweep stream.
+// same startNDJSON writer as the sweep stream.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) (any, *apiError) {
 	id := r.PathValue("id")
 	replay, live, unsubscribe, ok := s.jobs.Subscribe(id)
@@ -346,43 +344,21 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) (any, *
 	defer unsubscribe()
 	snap, _ := s.jobs.Get(id)
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	var out io.Writer = w
-	var gz *gzip.Writer
-	if acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
-		w.Header().Add("Vary", "Accept-Encoding")
-		gz = gzipWriters.Get().(*gzip.Writer)
-		gz.Reset(w)
-		defer func() {
-			_ = gz.Close()
-			gzipWriters.Put(gz)
-		}()
-		out = gz
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, canFlush := w.(http.Flusher)
-	flush := func() {
-		if gz != nil {
-			_ = gz.Flush()
-		}
-		if canFlush {
-			flusher.Flush()
-		}
-	}
+	out := startNDJSON(w, r)
+	defer out.Close()
 	enc := json.NewEncoder(out)
 	// Encode failures past this point mean the client went away; the
 	// trailer protocol is the only error channel left.
 	_ = enc.Encode(jobEventsHeader{
 		Job: id, Name: snap.Name, State: snap.State.String(), Replay: len(replay),
 	})
-	flush()
+	out.Flush()
 	events := 0
 	for _, ev := range replay {
 		_ = enc.Encode(ev)
 		events++
 	}
-	flush()
+	out.Flush()
 	ctx := r.Context()
 	for {
 		select {
@@ -393,12 +369,12 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) (any, *
 				_ = enc.Encode(jobEventsTrailer{
 					Done: true, State: final.State.String(), Events: events,
 				})
-				flush()
+				out.Flush()
 				return nil, nil
 			}
 			_ = enc.Encode(ev)
 			events++
-			flush()
+			out.Flush()
 		case <-ctx.Done():
 			aerr := errTimeout()
 			cur, _ := s.jobs.Get(id)
@@ -406,7 +382,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) (any, *
 				State: cur.State.String(), Events: events,
 				Error: &errorBody{Code: aerr.Code, Status: aerr.Status, Message: aerr.Message},
 			})
-			flush()
+			out.Flush()
 			return nil, nil
 		}
 	}

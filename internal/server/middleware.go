@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -97,10 +98,15 @@ type errorBody struct {
 	Message string `json:"message"`
 }
 
-// cachedResponse is one encoded response body ready to serve.
+// cachedResponse is one encoded response body ready to serve. The
+// identity body is the canonical form; the gzip encoding is derived
+// from it on first demand (gzipped) and kept beside it, so a cache hit
+// never compresses again.
 type cachedResponse struct {
-	status int
-	body   []byte
+	status   int
+	body     []byte
+	gzipOnce sync.Once
+	gzipBody []byte
 }
 
 // marshalResponse encodes v with a trailing newline (curl-friendly).

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"compress/gzip"
 	"encoding/json"
-	"io"
 	"math"
 	"net/http"
 
@@ -106,32 +104,8 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any,
 	}
 
 	s.noteEval()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	var out io.Writer = w
-	var gz *gzip.Writer
-	if acceptsGzip(r) {
-		w.Header().Set("Content-Encoding", "gzip")
-		w.Header().Add("Vary", "Accept-Encoding")
-		gz = gzipWriters.Get().(*gzip.Writer)
-		gz.Reset(w)
-		defer func() {
-			_ = gz.Close()
-			gzipWriters.Put(gz)
-		}()
-		out = gz
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, canFlush := w.(http.Flusher)
-	// flush pushes one NDJSON line's bytes all the way to the client:
-	// through the gzip frame first, then the HTTP chunked writer.
-	flush := func() {
-		if gz != nil {
-			_ = gz.Flush()
-		}
-		if canFlush {
-			flusher.Flush()
-		}
-	}
+	out := startNDJSON(w, r)
+	defer out.Close()
 	enc := json.NewEncoder(out)
 	// Encode failures past this point mean the client went away; the
 	// trailer protocol below is the only error channel left.
@@ -139,7 +113,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any,
 		PlatformID: string(plat.ID), Name: plat.Name, Precision: precision,
 		IMin: g.IMin, IMax: g.IMax, Points: g.Points, ChunkPoints: chunk,
 	})
-	flush()
+	out.Flush()
 
 	// The grid is generated on the fly (the LogSpace formula, never
 	// materialized) and buffered one chunk at a time: the kernel
@@ -161,7 +135,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any,
 			aerr := errTimeout()
 			_ = enc.Encode(streamTrailer{Chunks: chunks, Points: start,
 				Error: &errorBody{Code: aerr.Code, Status: aerr.Status, Message: aerr.Message}})
-			flush()
+			out.Flush()
 			return nil, nil
 		}
 		end := start + chunk
@@ -176,10 +150,10 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any,
 			// treatment the encoder errors get.
 			_, _ = out.Write(line)
 		}
-		flush()
+		out.Flush()
 		chunks++
 	}
 	_ = enc.Encode(streamTrailer{Done: true, Chunks: chunks, Points: g.Points})
-	flush()
+	out.Flush()
 	return nil, nil
 }

@@ -2,9 +2,9 @@
 # bench.sh — run the engine benchmark suite and snapshot it as JSON.
 #
 # Runs the perf-trajectory benchmarks (the parallel suite driver, the
-# batch-vs-sequential HTTP comparison, the streaming sweep, and the
-# microbench hot-path benches), then converts the text output to a
-# stable JSON document via scripts/benchjson.
+# batch-vs-sequential HTTP comparison, the streaming sweep, the gzip
+# level table, and the microbench hot-path benches), then converts the
+# text output to a stable JSON document via scripts/benchjson.
 #
 # Usage:
 #   scripts/bench.sh [out.json]        # default out: BENCH_engine.json
@@ -19,7 +19,7 @@ cd "$(dirname "$0")/.."
 out=${1:-BENCH_engine.json}
 benchtime=${BENCHTIME:-2x}
 count=${BENCHCOUNT:-1}
-pattern='^(BenchmarkSuiteRun|BenchmarkRunWorkers|BenchmarkResultFilters|BenchmarkBatchVsSequential|BenchmarkSweepStream|BenchmarkMapDispatch)$'
+pattern='^(BenchmarkSuiteRun|BenchmarkRunWorkers|BenchmarkResultFilters|BenchmarkBatchVsSequential|BenchmarkSweepStream|BenchmarkGzipLevels|BenchmarkMapDispatch)$'
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp" "$tmp.prev"' EXIT
