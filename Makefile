@@ -23,8 +23,10 @@ vet:
 lint:
 	$(GO) run ./cmd/archlint ./...
 
-## check is the full pre-merge gate.
-check: build vet race lint
+## check is the full pre-merge gate (scripts/check.sh): gofmt, build,
+## vet, race tests, the _perfbench module's vet and tests, and lint.
+check:
+	./scripts/check.sh
 
 ## ci is check with caching disabled and a per-analyzer lint summary.
 ci:

@@ -171,8 +171,6 @@ func serveMain(args []string, stdout, stderr io.Writer) int {
 		drain       = fs.Duration("drain", server.DefaultDrainTimeout, "graceful-shutdown drain timeout")
 		maxInflight = fs.Int("max-inflight", server.DefaultMaxInFlight,
 			"concurrent-request ceiling before /v1 load shedding (negative disables)")
-		batchWorkers = fs.Int("batch-workers", 0,
-			"worker-pool width for /v1/batch item evaluation (0 = all CPUs)")
 		chaosProf = fs.String("chaos", "",
 			"chaos middleware fault profile (paper, harsh); off unless set explicitly")
 		chaosSeed  = fs.Uint64("chaos-seed", 42, "seed for chaos draws (same seed, same chaos)")
@@ -186,8 +184,6 @@ func serveMain(args []string, stdout, stderr io.Writer) int {
 			"how long finished jobs stay pollable before eviction (0 = default 15m)")
 		dataDir = fs.String("data-dir", "",
 			"directory for the persistent platform registry; empty runs it in memory (uploads rejected)")
-		regShards = fs.Int("registry-shards", 0,
-			"consistent-hash shard count for the platform registry (0 = default 8)")
 		aggFlush = fs.Duration("agg-flush", server.DefaultAggFlushInterval,
 			"metric aggregation drain cadence (staleness bound for /metrics)")
 	)
@@ -213,7 +209,6 @@ func serveMain(args []string, stdout, stderr io.Writer) int {
 		CacheEntries:     *entries,
 		DrainTimeout:     *drain,
 		MaxInFlight:      *maxInflight,
-		BatchWorkers:     *batchWorkers,
 		ChaosProfile:     *chaosProf,
 		ChaosSeed:        *chaosSeed,
 		LogWriter:        stderr,
@@ -222,7 +217,6 @@ func serveMain(args []string, stdout, stderr io.Writer) int {
 		JobQueueDepth:    *jobQueue,
 		JobTTL:           *jobTTL,
 		DataDir:          *dataDir,
-		RegistryShards:   *regShards,
 		AggFlushInterval: *aggFlush,
 	}
 	var tf *os.File

@@ -8,12 +8,11 @@
 // shard mutex from a striped pool plus an in-place update, with zero
 // heap allocation once a series' cell exists.
 //
-// Four aggregation shapes are supported, mirroring the statsd metric
+// Three aggregation shapes are supported, from the statsd metric
 // taxonomy:
 //
 //   - Counter: sums deltas between flushes; flush emits the delta and
 //     resets to zero.
-//   - Gauge: keeps the last value set; flush emits it and keeps it.
 //   - Set: counts distinct string members per interval; flush emits the
 //     cardinality and clears the membership.
 //   - Timer: appends float64 samples to a bounded ring per series;
@@ -105,7 +104,6 @@ type kind int
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindSet
 	kindTimer
 )
@@ -119,8 +117,7 @@ type tuple struct{ a, b string }
 type cell struct {
 	labels []string // materialized once at creation, passed to sinks
 
-	n       float64             // counter delta / gauge value
-	touched bool                // gauge: set since construction
+	n       float64             // counter delta
 	members map[string]struct{} // set membership this interval
 	buf     []float64           // timer samples this interval (cap fixed)
 	next    int                 // timer ring cursor once buf is full
@@ -147,7 +144,6 @@ type family struct {
 	droppedSamples atomic.Uint64 // timer samples overwritten before flush
 
 	counterSink func(labels []string, delta float64)
-	gaugeSink   func(labels []string, value float64)
 	setSink     func(labels []string, distinct float64)
 	timerSink   func(labels []string, samples []float64)
 }
@@ -202,14 +198,6 @@ func (a *Aggregator) Counter(name string, arity int, sink func(labels []string, 
 	f := a.register(name, kindCounter, arity, opts)
 	f.counterSink = sink
 	return &Counter{f: f}
-}
-
-// Gauge registers a gauge family: the last value set wins and the sink
-// receives every touched series' value at flush.
-func (a *Aggregator) Gauge(name string, arity int, sink func(labels []string, value float64), opts Opts) *Gauge {
-	f := a.register(name, kindGauge, arity, opts)
-	f.gaugeSink = sink
-	return &Gauge{f: f}
 }
 
 // Set registers a set family: distinct members accumulate per interval
@@ -306,32 +294,13 @@ func (c *Counter) Add2(l1, l2 string, delta float64) {
 	c.f.add(tuple{a: l1, b: l2}, delta)
 }
 
-// add is the shared counter/gauge write.
+// add is the counter write.
 func (f *family) add(key tuple, delta float64) {
 	c, sh := f.cellFor(key)
 	if c == nil {
 		return
 	}
 	c.n += delta
-	sh.mu.Unlock()
-}
-
-// Gauge is a gauge family handle.
-type Gauge struct{ f *family }
-
-// Set replaces the unlabelled series' value.
-func (g *Gauge) Set(v float64) { g.f.checkArity(0); g.f.set(tuple{}, v) }
-
-// Set1 replaces the value of the series for one label value.
-func (g *Gauge) Set1(l1 string, v float64) { g.f.checkArity(1); g.f.set(tuple{a: l1}, v) }
-
-func (f *family) set(key tuple, v float64) {
-	c, sh := f.cellFor(key)
-	if c == nil {
-		return
-	}
-	c.n = v
-	c.touched = true
 	sh.mu.Unlock()
 }
 
@@ -385,12 +354,12 @@ func (f *family) observe(key tuple, v float64) {
 	sh.mu.Unlock()
 }
 
-// Flush drains every family into its sink: counter deltas reset, gauge
-// values persist, set memberships clear, timer buffers reset (capacity
-// kept, so the hot path stays allocation-free). Series cells are never
-// deleted — interning is permanent, bounded by the cardinality cap.
-// Sinks run with the owning shard locked; recording against other
-// shards proceeds concurrently.
+// Flush drains every family into its sink: counter deltas reset, set
+// memberships clear, timer buffers reset (capacity kept, so the hot
+// path stays allocation-free). Series cells are never deleted —
+// interning is permanent, bounded by the cardinality cap. Sinks run
+// with the owning shard locked; recording against other shards
+// proceeds concurrently.
 func (a *Aggregator) Flush() {
 	a.mu.Lock()
 	fams := a.fams
@@ -404,10 +373,6 @@ func (a *Aggregator) Flush() {
 					if c.n != 0 {
 						f.counterSink(c.labels, c.n)
 						c.n = 0
-					}
-				case kindGauge:
-					if c.touched {
-						f.gaugeSink(c.labels, c.n)
 					}
 				case kindSet:
 					if len(c.members) > 0 {

@@ -80,22 +80,6 @@ func TestCounterFlushDeltas(t *testing.T) {
 	eq(t, rec.sorted(), []string{"/v1/query,200=3"})
 }
 
-// TestGaugeKeepsLatest checks gauges emit the last value set and keep
-// emitting it on later flushes (a gauge has no delta to reset).
-func TestGaugeKeepsLatest(t *testing.T) {
-	a := New(Config{})
-	var rec sinkRec
-	g := a.Gauge("depth", 1, rec.noteValue, Opts{})
-	g.Set1("q0", 4)
-	g.Set1("q0", 7)
-	a.Flush()
-	eq(t, rec.sorted(), []string{"q0=7"})
-
-	rec.reset()
-	a.Flush()
-	eq(t, rec.sorted(), []string{"q0=7"})
-}
-
 // TestSetDistinct checks sets count distinct members per interval and
 // clear at flush.
 func TestSetDistinct(t *testing.T) {
@@ -223,7 +207,7 @@ func TestDuplicateFamilyPanics(t *testing.T) {
 			t.Fatal("duplicate family did not panic")
 		}
 	}()
-	a.Gauge("dup", 0, func([]string, float64) {}, Opts{})
+	a.Set("dup", 0, func([]string, float64) {}, Opts{})
 }
 
 // TestConcurrentRecordFlushStorm hammers every family shape from many
@@ -243,7 +227,6 @@ func TestConcurrentRecordFlushStorm(t *testing.T) {
 	}, Opts{})
 	tm := a.Timer("lat", 1, func(_ []string, _ []float64) {}, Opts{})
 	s := a.Set("users", 0, func(_ []string, _ float64) {}, Opts{})
-	g := a.Gauge("depth", 0, func(_ []string, _ float64) {}, Opts{})
 
 	const (
 		goroutines = 8
@@ -260,7 +243,6 @@ func TestConcurrentRecordFlushStorm(t *testing.T) {
 				c.Add2(ep, "200", 1)
 				tm.Observe1(ep, float64(i)*0.001)
 				s.Insert(ep)
-				g.Set(float64(i))
 			}
 		}(gi)
 	}
@@ -291,12 +273,10 @@ func TestZeroAllocHotPath(t *testing.T) {
 	c := a.Counter("reqs", 2, func([]string, float64) {}, Opts{})
 	tm := a.Timer("lat", 1, func([]string, []float64) {}, Opts{TimerCap: 1 << 16})
 	s := a.Set("users", 1, func([]string, float64) {}, Opts{})
-	g := a.Gauge("depth", 1, func([]string, float64) {}, Opts{})
 	// Warm the cells and the set membership.
 	c.Add2("/v1/query", "200", 1)
 	tm.Observe1("/v1/query", 0.001)
 	s.Insert1("shard0", "user-1")
-	g.Set1("shard0", 1)
 
 	if n := testing.AllocsPerRun(1000, func() { c.Add2("/v1/query", "200", 1) }); n != 0 {
 		t.Errorf("counter Add2 allocates %.1f/op, want 0", n)
@@ -306,8 +286,5 @@ func TestZeroAllocHotPath(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { s.Insert1("shard0", "user-1") }); n != 0 {
 		t.Errorf("set Insert1 of a seen member allocates %.1f/op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() { g.Set1("shard0", 2) }); n != 0 {
-		t.Errorf("gauge Set1 allocates %.1f/op, want 0", n)
 	}
 }

@@ -112,8 +112,10 @@ type Registry struct {
 
 	// inval is called under the owning shard's write lock whenever an
 	// ID's published version stops being current (re-upload or delete),
-	// so no new cache entry for the old version can be admitted after
-	// the eviction ran.
+	// so every resolve that follows sees the new version. A request that
+	// resolved the old version before Put took the lock can still put
+	// its response after the sweep; that entry is unreachable, because
+	// cache keys carry the version, and only LRU eviction frees it.
 	inval func(id string, oldVersion uint64)
 
 	uploads       atomic.Uint64

@@ -4,12 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-
-	"archline/internal/pool"
 )
 
 // maxBatchItems caps one POST /v1/batch request. The cap bounds the
-// per-request fan-out the same way maxPoints bounds a sweep: a client
+// per-request work the same way maxPoints bounds a sweep: a client
 // wanting more splits into multiple batches.
 const maxBatchItems = 256
 
@@ -28,12 +26,12 @@ type batchResponse struct {
 	Results []json.RawMessage `json:"results"`
 }
 
-// handleBatch evaluates N query items through a bounded worker pool.
-// Every item goes through evalQuery, i.e. the shared response cache and
-// singleflight group: cached items cost no model evaluation, duplicate
-// items within the batch (or concurrent with other requests) collapse
-// to a single evaluation, and the batch as a whole performs at most N
-// model evaluations.
+// handleBatch evaluates N query items in item order on the request
+// goroutine. Every item goes through evalQuery, i.e. the shared response
+// cache and singleflight group: cached items cost no model evaluation,
+// duplicate items within the batch (or concurrent with other requests)
+// collapse to a single evaluation, and the batch as a whole performs at
+// most N model evaluations.
 func (s *Server) handleBatch(_ http.ResponseWriter, r *http.Request) (any, *apiError) {
 	var req batchRequest
 	if aerr := s.decodeBody(r, &req); aerr != nil {
@@ -46,26 +44,24 @@ func (s *Server) handleBatch(_ http.ResponseWriter, r *http.Request) (any, *apiE
 		return nil, errBadRequest("at most %d items per batch, got %d (split into multiple requests)",
 			maxBatchItems, len(req.Items))
 	}
-	results, errs := pool.Map(req.Items, s.cfg.BatchWorkers,
-		func(_ int, item queryRequest) (json.RawMessage, error) {
-			resp, aerr := s.evalQuery(item)
-			if aerr != nil {
-				body, err := json.Marshal(errorEnvelope{Error: errorBody{
-					Code:    aerr.Code,
-					Status:  aerr.Status,
-					Message: aerr.Message,
-				}})
-				if err != nil {
-					return nil, err
-				}
-				return body, nil
+	results := make([]json.RawMessage, len(req.Items))
+	for i, item := range req.Items {
+		resp, aerr := s.evalQuery(item)
+		if aerr != nil {
+			body, err := json.Marshal(errorEnvelope{Error: errorBody{
+				Code:    aerr.Code,
+				Status:  aerr.Status,
+				Message: aerr.Message,
+			}})
+			if err != nil {
+				return nil, errInternal("encoding batch item error: %v", err)
 			}
-			// Cached bodies carry a trailing newline for curl; inside the
-			// results array it would be noise.
-			return json.RawMessage(bytes.TrimSuffix(resp.body, []byte("\n"))), nil
-		})
-	if _, err := pool.FirstError(errs); err != nil {
-		return nil, errInternal("encoding batch item error: %v", err)
+			results[i] = body
+			continue
+		}
+		// Cached bodies carry a trailing newline for curl; inside the
+		// results array it would be noise.
+		results[i] = bytes.TrimSuffix(resp.body, []byte("\n"))
 	}
 	return &batchResponse{Items: len(results), Results: results}, nil
 }

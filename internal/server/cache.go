@@ -68,10 +68,10 @@ func (c *lruCache) size() int {
 }
 
 // invalidate removes every entry whose key matches and reports how many
-// went. The registry's re-upload protocol calls this through the
-// sharded cache so responses computed against a retired platform
-// version free their memory immediately (correctness never depends on
-// it: version-carrying keys make stale entries unreachable anyway).
+// went. The registry's re-upload protocol calls this so responses
+// computed against a retired platform version free their memory
+// immediately (correctness never depends on it: version-carrying keys
+// make stale entries unreachable anyway).
 func (c *lruCache) invalidate(match func(key string) bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -84,89 +84,6 @@ func (c *lruCache) invalidate(match func(key string) bool) int {
 			n++
 		}
 		el = next
-	}
-	return n
-}
-
-// cacheShardFloor is the smallest per-shard capacity worth sharding
-// for: below it the cache degenerates to a single shard, preserving
-// strict global LRU order (which the eviction tests pin for tiny
-// caches) and avoiding shards too small to hold a working set.
-const cacheShardFloor = 32
-
-// shardedCache splits the response cache into independently locked
-// lruCache shards, selected by key hash, so a hot mutation (an
-// invalidation sweep, a put on a busy shard) never stalls lookups on
-// the other shards. Hashing is plain (not the registry's consistent
-// ring): cache shards never rebalance, they only split lock contention.
-type shardedCache struct {
-	shards []*lruCache
-}
-
-// newShardedCache builds a cache of totalCap entries split over at most
-// want shards, degenerating to fewer shards when totalCap is too small
-// to give each one cacheShardFloor entries.
-func newShardedCache(totalCap, want int) *shardedCache {
-	if want < 1 {
-		want = 1
-	}
-	if max := totalCap / cacheShardFloor; want > max {
-		want = max
-	}
-	if want < 1 {
-		want = 1
-	}
-	perShard := (totalCap + want - 1) / want
-	c := &shardedCache{shards: make([]*lruCache, want)}
-	for i := range c.shards {
-		c.shards[i] = newLRUCache(perShard)
-	}
-	return c
-}
-
-func (c *shardedCache) pick(key string) *lruCache {
-	if len(c.shards) == 1 {
-		return c.shards[0]
-	}
-	return c.shards[hashCacheKey(key)%uint64(len(c.shards))]
-}
-
-// hashCacheKey is FNV-1a, inlined so the hot lookup path allocates
-// nothing.
-func hashCacheKey(key string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return h
-}
-
-func (c *shardedCache) get(key string) (*cachedResponse, bool) {
-	return c.pick(key).get(key)
-}
-
-func (c *shardedCache) put(key string, resp *cachedResponse) {
-	c.pick(key).put(key, resp)
-}
-
-func (c *shardedCache) size() int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.size()
-	}
-	return n
-}
-
-// invalidate sweeps every shard; a matching key may live on any of them.
-func (c *shardedCache) invalidate(match func(key string) bool) int {
-	n := 0
-	for _, s := range c.shards {
-		n += s.invalidate(match)
 	}
 	return n
 }
@@ -185,6 +102,9 @@ type flight struct {
 	wg   sync.WaitGroup
 	resp *cachedResponse
 	aerr *apiError
+	// joined counts the callers that waited on this flight instead of
+	// computing; guarded by flightGroup.mu.
+	joined int
 }
 
 // newFlightGroup builds an empty group.
@@ -198,6 +118,7 @@ func newFlightGroup() *flightGroup {
 func (g *flightGroup) do(key string, fn func() (*cachedResponse, *apiError)) (*cachedResponse, *apiError) {
 	g.mu.Lock()
 	if f, ok := g.m[key]; ok {
+		f.joined++
 		g.mu.Unlock()
 		f.wg.Wait()
 		return f.resp, f.aerr

@@ -2,9 +2,11 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func resp(body string) *cachedResponse {
@@ -52,40 +54,49 @@ func TestLRUOverwrite(t *testing.T) {
 func TestFlightGroupShares(t *testing.T) {
 	g := newFlightGroup()
 	const waiters = 16
-	var started, done sync.WaitGroup
-	release := make(chan struct{})
 	var computes atomic.Int32
+	// The first computation stays open until every other caller has
+	// joined its flight, so all of them must share its result.
+	compute := func() (*cachedResponse, *apiError) {
+		computes.Add(1)
+		deadline := time.Now().Add(10 * time.Second)
+		for joinedCallers(g, "key") < waiters-1 {
+			if time.Now().After(deadline) {
+				t.Errorf("%d of %d callers joined the flight", joinedCallers(g, "key"), waiters-1)
+				break
+			}
+			runtime.Gosched()
+		}
+		return resp("shared"), nil
+	}
 	results := make([]*cachedResponse, waiters)
+	var done sync.WaitGroup
 	for i := 0; i < waiters; i++ {
-		started.Add(1)
 		done.Add(1)
 		go func(slot int) {
 			defer done.Done()
-			started.Done()
-			r, _ := g.do("key", func() (*cachedResponse, *apiError) {
-				computes.Add(1)
-				<-release
-				return resp("shared"), nil
-			})
-			results[slot] = r
+			results[slot], _ = g.do("key", compute)
 		}(i)
 	}
-	started.Wait()
-	close(release)
 	done.Wait()
-	// A caller arriving after the winning flight completes legitimately
-	// recomputes (the group alone has no memory; the LRU cache above it
-	// provides that), so the guarantee here is suppression, not
-	// uniqueness: far fewer computations than callers, and every caller
-	// sees a valid result.
-	if n := computes.Load(); n < 1 || n >= waiters {
-		t.Errorf("computes = %d, want in [1, %d)", n, waiters)
+	if n := computes.Load(); n != 1 {
+		t.Errorf("computes = %d, want 1", n)
 	}
 	for i, r := range results {
 		if r == nil || string(r.body) != "shared" {
 			t.Errorf("waiter %d got %v", i, r)
 		}
 	}
+}
+
+// joinedCallers reports how many callers have joined key's open flight.
+func joinedCallers(g *flightGroup, key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if f, ok := g.m[key]; ok {
+		return f.joined
+	}
+	return 0
 }
 
 func TestFlightGroupErrorNotSticky(t *testing.T) {

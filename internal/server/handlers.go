@@ -327,7 +327,7 @@ func (s *Server) handleRoofline(_ http.ResponseWriter, r *http.Request) (any, *a
 	ctx := r.Context()
 	resp, aerr := s.cachedJSON(key, func() (any, *apiError) {
 		s.noteEval()
-		k := s.kernels.get(e.CacheKey()+"|"+precision, p)
+		k := model.NewKernel(p)
 		return sweepRoofline(ctx, id, plat.Name, precision, p, k, g)
 	})
 	return resp, aerr
@@ -444,7 +444,7 @@ func (s *Server) evalQuery(req queryRequest) (*cachedResponse, *apiError) {
 		if !(iv > 0) || math.IsInf(iv, 0) {
 			return nil, errBadRequest("intensity must be positive and finite, got %g", iv)
 		}
-		k := s.kernels.get(platKey+"|"+precision, p)
+		k := model.NewKernel(p)
 		out.Intensity = iv
 		out.Regime = k.RegimeAt(iv).Letter()
 		out.FlopsPerSec = nf(k.FlopRateAt(iv))

@@ -64,10 +64,6 @@ type Config struct {
 	// answers 429 + Retry-After. Zero means DefaultMaxInFlight;
 	// negative disables shedding.
 	MaxInFlight int
-	// BatchWorkers bounds the per-request worker pool evaluating
-	// /v1/batch items. Zero means NumCPU (pool.Clamp semantics); the
-	// pool never exceeds the batch's item count.
-	BatchWorkers int
 	// BreakerWindow, BreakerErrRate, BreakerMinSamples, and
 	// BreakerCooldown tune the /v1 circuit breaker; zero fields take
 	// the resilience defaults.
@@ -109,10 +105,6 @@ type Config struct {
 	// registry in memory — built-ins still resolve through it, but
 	// POST /v1/platforms answers 503.
 	DataDir string
-	// RegistryShards is how many consistent-hash shards the registry
-	// index splits into; the response cache splits its lock domains the
-	// same number of ways. Zero takes registry.DefaultShards.
-	RegistryShards int
 	// AggFlushInterval is how often the metric aggregation stage drains
 	// into the exposition registry (the archlined -agg-flush flag). Zero
 	// means DefaultAggFlushInterval; /metrics scrapes additionally drain
@@ -165,8 +157,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
-	cache    *shardedCache
-	kernels  *kernelCache
+	cache    *lruCache
 	flights  *flightGroup
 	metrics  *Metrics
 	breaker  *circuitBreaker
@@ -188,15 +179,10 @@ type Server struct {
 // New builds a Server from the config (zero fields take defaults).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	shards := cfg.RegistryShards
-	if shards <= 0 {
-		shards = registry.DefaultShards
-	}
 	s := &Server{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		cache:   newShardedCache(cfg.CacheEntries, shards),
-		kernels: newKernelCache(cfg.CacheEntries),
+		cache:   newLRUCache(cfg.CacheEntries),
 		flights: newFlightGroup(),
 		metrics: NewMetrics(),
 		breaker: newCircuitBreaker(cfg.BreakerWindow, cfg.BreakerErrRate,
@@ -210,11 +196,12 @@ func New(cfg Config) *Server {
 	s.chaos, s.initErr = newChaosInjector(cfg.ChaosProfile, cfg.ChaosSeed, nil)
 	// The registry is the single platform-resolution path: built-ins
 	// always, plus durable uploads when a data directory is configured.
+	// Shard count 0 selects registry.DefaultShards.
 	var regErr error
 	if cfg.DataDir != "" {
-		s.registry, regErr = registry.Open(cfg.DataDir, shards)
+		s.registry, regErr = registry.Open(cfg.DataDir, 0)
 	} else {
-		s.registry, regErr = registry.OpenMemory(shards)
+		s.registry, regErr = registry.OpenMemory(0)
 	}
 	if regErr != nil {
 		if s.initErr == nil {
@@ -222,7 +209,7 @@ func New(cfg Config) *Server {
 		}
 		// Keep the server structurally complete so tests and embedders
 		// holding a *Server never nil-deref; Run refuses to start.
-		s.registry, _ = registry.OpenMemory(shards)
+		s.registry, _ = registry.OpenMemory(0)
 	}
 	if s.registry != nil {
 		// Runs under the owning registry shard's lock: the version bump

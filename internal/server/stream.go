@@ -72,7 +72,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any,
 	if aerr := s.decodeBody(r, &req); aerr != nil {
 		return nil, aerr
 	}
-	plat, platKey, aerr := s.resolvePlatform(req.platformRef)
+	plat, _, aerr := s.resolvePlatform(req.platformRef)
 	if aerr != nil {
 		return nil, aerr
 	}
@@ -120,7 +120,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any,
 	// evaluates a chunk into a pooled point buffer and the hand-rolled
 	// encoder renders it into a pooled line buffer, so the steady-state
 	// loop allocates nothing regardless of the grid size.
-	k := s.kernels.get(platKey+"|"+precision, p)
+	k := model.NewKernel(p)
 	l0, l1 := math.Log(g.IMin), math.Log(g.IMax)
 	ptsPtr := pointBufs.Get().(*[]model.Point)
 	linePtr := lineBufs.Get().(*[]byte)

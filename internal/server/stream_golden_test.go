@@ -178,29 +178,3 @@ func TestStreamChunkEncoderMatchesEncodingJSON(t *testing.T) {
 		t.Fatal("encoding/json accepted a non-finite value; drop-line parity assumption broken")
 	}
 }
-
-// TestBatchWorkerWidthIdentity: one batch of distinct items answered by
-// servers at several worker widths must produce byte-identical results
-// arrays — evaluation order and scheduling never leak into the payload.
-func TestBatchWorkerWidthIdentity(t *testing.T) {
-	items := make([]string, 48)
-	for i := range items {
-		items[i] = fmt.Sprintf(`{"platform_id":"gtx-titan","intensity":%g}`, 0.25+float64(i))
-	}
-	body := fmt.Sprintf(`{"items":[%s]}`, strings.Join(items, ","))
-	var ref []byte
-	for _, workers := range []int{1, 2, 4, 0} {
-		_, ts := newTestServer(t, Config{BatchWorkers: workers})
-		status, out := post(t, ts.URL+"/v1/batch", body)
-		if status != http.StatusOK {
-			t.Fatalf("workers=%d: status = %d: %s", workers, status, out)
-		}
-		if ref == nil {
-			ref = out
-			continue
-		}
-		if !bytes.Equal(out, ref) {
-			t.Fatalf("workers=%d: batch body differs from workers=1", workers)
-		}
-	}
-}

@@ -4,13 +4,23 @@
 # Same gate as scripts/check.sh but with test caching disabled
 # (GOFLAGS=-count=1) so every run re-executes the suite, and with a
 # per-analyzer summary of archlint findings (total and suppressed) on
-# stderr. Exits nonzero if the build, vet, tests, or any unsuppressed
-# archlint finding fails.
+# stderr. Exits nonzero if gofmt, the build, vet, the tests (the
+# _perfbench module's included), or any unsuppressed archlint finding
+# fails.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 export GOFLAGS=-count=1
+
+echo "ci: gofmt"
+# Every tracked Go file must already be gofmt-formatted.
+unformatted=$(git ls-files -z '*.go' | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+    echo "ci: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "ci: go build"
 go build ./...
@@ -20,6 +30,12 @@ go vet ./...
 
 echo "ci: go test -race"
 go test -race ./...
+
+echo "ci: _perfbench vet + test"
+# _perfbench is its own module, so ./... skips it; building it here
+# catches an internal API change that breaks the repository benchmark.
+go -C _perfbench vet ./...
+go -C _perfbench test ./...
 
 echo "ci: archlint"
 go run ./cmd/archlint -summary ./...
