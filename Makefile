@@ -55,8 +55,8 @@ benchgate:
 
 ## loadtest boots archlined on an ephemeral port, drives a deterministic
 ## archloadgen pass at it, and enforces the committed latency budget
-## (scripts/load_budget.json) plus the metric-aggregation health
-## contract. Knobs: LOADTEST_DURATION, LOADTEST_BUDGET, LOADTEST_SEED.
+## (scripts/load_budget.json). Knobs: LOADTEST_DURATION,
+## LOADTEST_BUDGET, LOADTEST_SEED.
 loadtest:
 	./scripts/loadgate.sh
 

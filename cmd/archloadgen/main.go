@@ -10,7 +10,7 @@
 //	archloadgen -base http://127.0.0.1:8080 [-duration 5s] [-workers 4]
 //	            [-rate 0] [-seed 42] [-mix query=45,roofline=15,...]
 //	            [-max-requests 0] [-timeout 5s]
-//	            [-json] [-budget file.json] [-check-agg]
+//	            [-json] [-budget file.json]
 //
 // The mix names weights for: query, roofline, compare, whatif, batch,
 // platforms, fit, upload (unnamed ops keep their default; fit and
@@ -21,10 +21,7 @@
 //
 // With -budget, the report is checked against the file's limits
 // (max_p99_ms, min_rps, max_server_errors, max_transport_errors) and
-// violations exit 1. With -check-agg, /metrics is scraped after the run
-// and the aggregation pipeline's health contract is enforced too:
-// per-platform counters present, at least one interval flush, flush age
-// within max_flush_age_s.
+// violations exit 1.
 //
 // Exit status: 0 in budget, 1 budget violation or failed run, 2 usage.
 package main
@@ -35,7 +32,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -60,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout  = fs.Duration("timeout", 5*time.Second, "per-request timeout")
 		asJSON   = fs.Bool("json", false, "write the report as JSON to stdout (table goes to stderr)")
 		budgetF  = fs.String("budget", "", "budget file to enforce; violations exit 1")
-		checkAgg = fs.Bool("check-agg", false, "scrape /metrics after the run and enforce aggregation health")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -115,44 +110,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rep.Render(stdout)
 	}
 
-	violations := []string{}
-	if *budgetF != "" {
-		violations = append(violations, budget.Check(rep)...)
+	if *budgetF == "" {
+		return 0
 	}
-	if *checkAgg {
-		exp, err := scrape(*base + "/metrics")
-		if err != nil {
-			_, _ = fmt.Fprintln(stderr, "archloadgen: scraping /metrics:", err)
-			return 1
-		}
-		violations = append(violations, budget.CheckAgg(exp)...)
-	}
-	if len(violations) > 0 {
+	if violations := budget.Check(rep); len(violations) > 0 {
 		for _, v := range violations {
 			_, _ = fmt.Fprintln(stderr, "archloadgen: BUDGET VIOLATION:", v)
 		}
 		return 1
 	}
-	if *budgetF != "" || *checkAgg {
-		_, _ = fmt.Fprintln(stderr, "archloadgen: within budget")
-	}
+	_, _ = fmt.Fprintln(stderr, "archloadgen: within budget")
 	return 0
-}
-
-// scrape fetches a text exposition.
-func scrape(url string) (string, error) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	return string(body), nil
 }

@@ -184,8 +184,6 @@ func serveMain(args []string, stdout, stderr io.Writer) int {
 			"how long finished jobs stay pollable before eviction (0 = default 15m)")
 		dataDir = fs.String("data-dir", "",
 			"directory for the persistent platform registry; empty runs it in memory (uploads rejected)")
-		aggFlush = fs.Duration("agg-flush", server.DefaultAggFlushInterval,
-			"metric aggregation drain cadence (staleness bound for /metrics)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return ExitUsage
@@ -203,21 +201,20 @@ func serveMain(args []string, stdout, stderr io.Writer) int {
 	ctx, cancel := serveContext()
 	defer cancel()
 	cfg := server.Config{
-		Addr:             *addr,
-		MaxBodyBytes:     *maxBody,
-		RequestTimeout:   *timeout,
-		CacheEntries:     *entries,
-		DrainTimeout:     *drain,
-		MaxInFlight:      *maxInflight,
-		ChaosProfile:     *chaosProf,
-		ChaosSeed:        *chaosSeed,
-		LogWriter:        stderr,
-		EnablePprof:      *pprofOn,
-		JobWorkers:       *jobWorkers,
-		JobQueueDepth:    *jobQueue,
-		JobTTL:           *jobTTL,
-		DataDir:          *dataDir,
-		AggFlushInterval: *aggFlush,
+		Addr:           *addr,
+		MaxBodyBytes:   *maxBody,
+		RequestTimeout: *timeout,
+		CacheEntries:   *entries,
+		DrainTimeout:   *drain,
+		MaxInFlight:    *maxInflight,
+		ChaosProfile:   *chaosProf,
+		ChaosSeed:      *chaosSeed,
+		LogWriter:      stderr,
+		EnablePprof:    *pprofOn,
+		JobWorkers:     *jobWorkers,
+		JobQueueDepth:  *jobQueue,
+		JobTTL:         *jobTTL,
+		DataDir:        *dataDir,
 	}
 	var tf *os.File
 	if *traceLog != "" {

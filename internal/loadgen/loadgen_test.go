@@ -90,9 +90,8 @@ func TestRunOpenLoop(t *testing.T) {
 	}
 }
 
-// TestAggContractEndToEnd drives load, flushes the aggregation stage
-// the way the daemon's interval flusher would, and checks the /metrics
-// health contract the CI gate enforces.
+// TestAggContractEndToEnd drives load and checks the per-platform query
+// counters, aggregated by platform id, materialized in /metrics.
 func TestAggContractEndToEnd(t *testing.T) {
 	s, base := newTestDaemon(t)
 	rep, err := Run(context.Background(), Config{
@@ -107,11 +106,7 @@ func TestAggContractEndToEnd(t *testing.T) {
 	if rep.OK == 0 {
 		t.Fatalf("no successes: %+v", rep)
 	}
-	s.Metrics().FlushAgg()
 	exp := s.Metrics().Render()
-	if v := (Budget{}).CheckAgg(exp); len(v) != 0 {
-		t.Errorf("agg contract violated after load: %v", v)
-	}
 	if !strings.Contains(exp, `archlined_platform_queries_total{platform="`) {
 		t.Error("per-platform counters did not materialize")
 	}
@@ -183,27 +178,6 @@ func TestBudgetCheck(t *testing.T) {
 	}
 	if v := (Budget{}).Check(Report{}); len(v) == 0 {
 		t.Error("an all-zero report (no successes) must violate")
-	}
-}
-
-// TestCheckAggParsing checks the exposition health probe against
-// crafted text.
-func TestCheckAggParsing(t *testing.T) {
-	healthy := strings.Join([]string{
-		`archlined_platform_queries_total{platform="gtx-titan"} 5`,
-		`archlined_agg_flushes_total 3`,
-		`archlined_agg_flush_age_seconds 0.5`,
-	}, "\n")
-	if v := (Budget{}).CheckAgg(healthy); len(v) != 0 {
-		t.Errorf("healthy exposition flagged: %v", v)
-	}
-	stale := strings.ReplaceAll(healthy,
-		"archlined_agg_flush_age_seconds 0.5", "archlined_agg_flush_age_seconds 60")
-	if v := (Budget{MaxFlushAgeS: 2}).CheckAgg(stale); len(v) != 1 {
-		t.Errorf("stale flush not caught: %v", v)
-	}
-	if v := (Budget{}).CheckAgg("nothing here"); len(v) != 3 {
-		t.Errorf("empty exposition should trip all three checks: %v", v)
 	}
 }
 

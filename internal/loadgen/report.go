@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"archline/internal/stats"
@@ -146,18 +144,14 @@ func (r Report) Render(w io.Writer) {
 }
 
 // Budget is a committed latency/throughput budget; see
-// scripts/load_budget.json. Zero MaxP99Ms, MinRPS, or MaxFlushAgeS
-// means that check is skipped; the error ceilings are always enforced
-// at their stated value (zero = none allowed).
+// scripts/load_budget.json. Zero MaxP99Ms or MinRPS means that check
+// is skipped; the error ceilings are always enforced at their stated
+// value (zero = none allowed).
 type Budget struct {
 	MaxP99Ms           float64 `json:"max_p99_ms"`
 	MinRPS             float64 `json:"min_rps"`
 	MaxServerErrors    int64   `json:"max_server_errors"`
 	MaxTransportErrors int64   `json:"max_transport_errors"`
-	// MaxFlushAgeS bounds archlined_agg_flush_age_seconds in CheckAgg:
-	// a daemon whose aggregation flusher lags its interval is failing
-	// even if latency looks fine.
-	MaxFlushAgeS float64 `json:"max_flush_age_s"`
 }
 
 // Check returns the budget violations (empty means within budget).
@@ -179,52 +173,4 @@ func (b Budget) Check(r Report) []string {
 		out = append(out, fmt.Sprintf("%d transport errors exceed budget %d", r.TransportErrors, b.MaxTransportErrors))
 	}
 	return out
-}
-
-// CheckAgg inspects a /metrics exposition after a load run and returns
-// violations of the aggregation pipeline's health contract: per-platform
-// counters must have materialized, at least one interval flush must have
-// happened, and the last flush must be recent (MaxFlushAgeS; 5s when
-// zero).
-func (b Budget) CheckAgg(exposition string) []string {
-	maxAge := b.MaxFlushAgeS
-	if maxAge <= 0 {
-		maxAge = 5
-	}
-	var out []string
-	if !strings.Contains(exposition, `archlined_platform_queries_total{platform="`) {
-		out = append(out, "no archlined_platform_queries_total series in /metrics")
-	}
-	flushes, ok := expositionValue(exposition, "archlined_agg_flushes_total")
-	switch {
-	case !ok:
-		out = append(out, "archlined_agg_flushes_total missing from /metrics")
-	case flushes < 1:
-		out = append(out, "no interval flushes recorded (is the flusher running?)")
-	}
-	age, ok := expositionValue(exposition, "archlined_agg_flush_age_seconds")
-	switch {
-	case !ok:
-		out = append(out, "archlined_agg_flush_age_seconds missing from /metrics")
-	case age > maxAge:
-		out = append(out, fmt.Sprintf("flush age %.1fs exceeds %.1fs: the flusher lags its interval", age, maxAge))
-	}
-	return out
-}
-
-// expositionValue finds an unlabelled series' value in a text
-// exposition.
-func expositionValue(exposition, name string) (float64, bool) {
-	for _, line := range strings.Split(exposition, "\n") {
-		rest, ok := strings.CutPrefix(line, name+" ")
-		if !ok {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err != nil {
-			return 0, false
-		}
-		return v, true
-	}
-	return 0, false
 }

@@ -104,8 +104,9 @@ func NewRegistry() *Registry {
 }
 
 // SetMaxSeriesPerFamily replaces the per-family series cap for families
-// registered afterwards. It exists for tests and special-purpose
-// registries; the default suits the daemon.
+// registered afterwards, so call it before registering them. archlined
+// sets 256, which its route-bounded families stay under, so only its
+// client-labelled per-platform counter can reach the cap.
 func (r *Registry) SetMaxSeriesPerFamily(n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -233,6 +234,14 @@ func (v *CounterVec) Sum() float64 {
 		s.mu.Unlock()
 	}
 	return total
+}
+
+// Len reports how many series the family holds. Writes refused by the
+// cardinality cap create no series, so Len saturates at the cap.
+func (v *CounterVec) Len() int {
+	v.fam.mu.Lock()
+	defer v.fam.mu.Unlock()
+	return len(v.fam.series)
 }
 
 // Counter is one monotonically increasing series.

@@ -137,6 +137,9 @@ func TestSeriesCapSpills(t *testing.T) {
 	if got := vec.Sum(); got != 5 {
 		t.Errorf("rendered family sums to %v, want 5 (spilled writes excluded)", got)
 	}
+	if got := vec.Len(); got != 4 {
+		t.Errorf("family holds %d series, want the cap of 4", got)
+	}
 
 	// Histograms spill to a bucketed blackhole without panicking.
 	reg2 := NewRegistry()

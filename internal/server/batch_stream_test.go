@@ -247,6 +247,7 @@ func TestSweepStreamValidation(t *testing.T) {
 		fmt.Sprintf(`{"platform_id":"gtx-titan","points":%d}`, streamMaxPoints+1),
 		fmt.Sprintf(`{"platform_id":"gtx-titan","chunk_points":%d}`, maxChunkPoints+1),
 		`{"platform_id":"gtx-titan","imin":-1}`,
+		`{"platform_id":"gtx-titan","imin":4,"imax":2}`,
 	} {
 		status, out := post(t, ts.URL+"/v1/sweep/stream", body)
 		wantError(t, status, out, http.StatusBadRequest, "bad_request")
@@ -404,6 +405,9 @@ func TestAcceptsGzip(t *testing.T) {
 		{"*, gzip;q=0", false},
 		{"*;q=0, gzip", true},
 		{"gzip;Q=0", false},
+		// A NaN weight is unparsable, so it counts as 1.
+		{"gzip;q=nan", true},
+		{"*;q=NaN", true},
 	}
 	for _, c := range cases {
 		r, _ := http.NewRequest(http.MethodGet, "/", nil)

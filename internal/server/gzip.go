@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -58,12 +59,13 @@ func acceptsGzip(r *http.Request) bool {
 
 // qValue returns the weight among an Accept-Encoding entry's
 // parameters. The name "q" is case-insensitive; an absent or
-// unparsable weight counts as 1 and a negative one as 0.
+// unparsable weight counts as 1 and a negative one as 0. "nan" parses
+// as a float but is no weight, so it counts as unparsable.
 func qValue(params string) float64 {
 	for _, p := range strings.Split(params, ";") {
 		name, v, _ := strings.Cut(p, "=")
 		if strings.EqualFold(strings.TrimSpace(name), "q") {
-			if q, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil {
+			if q, err := strconv.ParseFloat(strings.TrimSpace(v), 64); err == nil && !math.IsNaN(q) {
 				return max(q, 0)
 			}
 		}

@@ -188,19 +188,20 @@ func parseSweepQuery(r *http.Request) (sweepGrid, *apiError) {
 		}
 		g.Points = n
 	}
-	return g, g.validate()
+	return g, g.validate(maxPoints)
 }
 
-// validate bounds-checks a grid wherever it came from (query or body).
-func (g sweepGrid) validate() *apiError {
+// validate bounds-checks a grid wherever it came from (query or body),
+// allowing at most maxN points.
+func (g sweepGrid) validate(maxN int) *apiError {
 	if !(g.IMin > 0) || math.IsInf(g.IMin, 0) {
 		return errBadRequest("imin must be a positive finite intensity, got %g", g.IMin)
 	}
 	if !(g.IMax > g.IMin) || math.IsInf(g.IMax, 0) {
 		return errBadRequest("imax must exceed imin, got [%g, %g]", g.IMin, g.IMax)
 	}
-	if g.Points < 2 || g.Points > maxPoints {
-		return errBadRequest("points must be in [2, %d], got %d", maxPoints, g.Points)
+	if g.Points < 2 || g.Points > maxN {
+		return errBadRequest("points must be in [2, %d], got %d", maxN, g.Points)
 	}
 	return nil
 }
@@ -528,7 +529,7 @@ func (s *Server) handleCompare(_ http.ResponseWriter, r *http.Request) (any, *ap
 		return nil, aerr
 	}
 	g := req.sweepGrid.orDefaults()
-	if aerr := g.validate(); aerr != nil {
+	if aerr := g.validate(maxPoints); aerr != nil {
 		return nil, aerr
 	}
 	key := fmt.Sprintf("compare|%s|%s|%g|%g|%d", aKey, bKey, g.IMin, g.IMax, g.Points)
@@ -649,7 +650,7 @@ func (s *Server) whatifThrottle(req whatifRequest) (any, *apiError) {
 		}
 	}
 	g := req.sweepGrid.orDefaults()
-	if aerr := g.validate(); aerr != nil {
+	if aerr := g.validate(maxPoints); aerr != nil {
 		return nil, aerr
 	}
 	key := fmt.Sprintf("whatif-throttle|%s|%v|%g|%g|%d", platKey, fracs, g.IMin, g.IMax, g.Points)
@@ -737,7 +738,7 @@ func (s *Server) whatifAggregate(req whatifRequest) (any, *apiError) {
 		return nil, aerr
 	}
 	g := req.sweepGrid.orDefaults()
-	if aerr := g.validate(); aerr != nil {
+	if aerr := g.validate(maxPoints); aerr != nil {
 		return nil, aerr
 	}
 	key := fmt.Sprintf("whatif-aggregate|%s|%s|%g|%g|%d", bigKey, smallKey, g.IMin, g.IMax, g.Points)

@@ -11,7 +11,6 @@ import (
 
 	"archline/internal/jobs"
 	"archline/internal/obs"
-	"archline/internal/obs/agg"
 	"archline/internal/registry"
 	"archline/internal/stats"
 )
@@ -30,15 +29,11 @@ const latWindowSize = 1024
 // # HELP / # TYPE headers. The clock is injectable so the uptime line
 // is deterministic under test.
 //
-// The high-frequency request paths (request counts, latency samples,
-// per-platform counters) do not touch the registry directly: they
-// record into a statsd-style aggregation stage (internal/obs/agg) whose
-// hot path is a striped-map update with zero allocation, and the
-// buffered state drains into the registry families on FlushAgg — called
-// by the server's interval flusher — and, uncounted, at the top of
-// every Render so the exposition is never stale. Low-frequency
-// counters asserted exactly by tests (cache, evals, shed, chaos,
-// in-flight) stay direct.
+// Every note* call writes straight into the state /metrics renders —
+// registry families and the per-endpoint latency windows — so nothing
+// stages a sample between a request and a scrape. One per-family series
+// cap bounds the only family whose label values come from clients, the
+// per-platform query counter.
 type Metrics struct {
 	start time.Time
 	now   func() time.Time
@@ -48,23 +43,12 @@ type Metrics struct {
 	duration        *obs.HistogramVec
 	platformQueries *obs.CounterVec
 
-	cacheHits         obs.Counter
-	cacheMisses       obs.Counter
-	modelEvals        obs.Counter
-	shed              obs.Counter
-	chaos             obs.Counter
-	inFlight          obs.Gauge
-	distinctPlatforms obs.Gauge
-	aggFlushes        obs.Counter
-
-	agg            *agg.Aggregator
-	aggRequests    *agg.Counter
-	aggLatency     *agg.Timer
-	aggPlatQueries *agg.Counter
-	aggPlatSet     *agg.Set
-
-	flushMu   sync.Mutex
-	lastFlush time.Time // set only by FlushAgg (the counted interval flush)
+	cacheHits   obs.Counter
+	cacheMisses obs.Counter
+	modelEvals  obs.Counter
+	shed        obs.Counter
+	chaos       obs.Counter
+	inFlight    obs.Gauge
 
 	mu        sync.Mutex
 	latencies map[string]*latWindow // endpoint -> recent seconds
@@ -115,6 +99,13 @@ func NewMetrics() *Metrics { return newMetrics(time.Now) }
 // every family the daemon exposes.
 func newMetrics(now func() time.Time) *Metrics {
 	reg := obs.NewRegistry()
+	// One series cap for every family. The route table bounds the
+	// request families: 14 endpoint labels ("other" included) times the
+	// 15 statuses the handlers answer is at most 210 series. Platform ids
+	// are the one client-chosen label (any registry upload mints one), so
+	// only archlined_platform_queries_total can reach the cap; ids past
+	// it spill into obs_dropped_series_total.
+	reg.SetMaxSeriesPerFamily(256)
 	m := &Metrics{
 		start:     now(),
 		now:       now,
@@ -136,70 +127,10 @@ func newMetrics(now func() time.Time) *Metrics {
 		"requests currently being served").With()
 	m.platformQueries = reg.Counter("archlined_platform_queries_total",
 		`model queries by platform id ("inline" is a caller-supplied platform)`, "platform")
-	m.distinctPlatforms = reg.Gauge("archlined_distinct_platforms_queried",
-		"distinct platform ids queried in the last flush interval").With()
-	m.aggFlushes = reg.Counter("archlined_agg_flushes_total",
-		"interval flushes of the metric aggregation stage").With()
-
-	// The aggregation stage. Family caps are deliberate policy:
-	// request/latency cardinality is bounded by the route table (times
-	// the status alphabet), so the aggregator default is plenty;
-	// platform_queries is the genuinely high-cardinality family (any
-	// registry upload mints an id), so it gets a tight cap and spills to
-	// archlined_agg_dropped_series_total rather than growing without
-	// bound. The latency ring holds 4096 samples per endpoint per
-	// interval; beyond that the oldest samples are overwritten and the
-	// loss lands in archlined_agg_dropped_samples_total.
-	m.agg = agg.New(agg.Config{})
-	m.aggRequests = m.agg.Counter("requests", 2, func(l []string, delta float64) {
-		m.requests.With(l[0], l[1]).Add(delta)
-	}, agg.Opts{})
-	m.aggLatency = m.agg.Timer("latency", 1, m.sinkLatency, agg.Opts{TimerCap: 4096})
-	m.aggPlatQueries = m.agg.Counter("platform_queries", 1, func(l []string, delta float64) {
-		m.platformQueries.With(l[0]).Add(delta)
-	}, agg.Opts{MaxSeries: 256})
-	m.aggPlatSet = m.agg.Set("distinct_platforms", 0, func(_ []string, distinct float64) {
-		m.distinctPlatforms.Set(distinct)
-	}, agg.Opts{})
-
-	reg.Collect("archlined_agg_series", "live series per aggregation family", "gauge",
-		[]string{"family"}, func(emit func([]string, float64)) {
-			// Stats reports in registration order (a slice, never a map),
-			// so renders stay byte-stable.
-			for _, st := range m.agg.Stats() {
-				emit([]string{st.Name}, float64(st.Series))
-			}
-		})
-	reg.Collect("archlined_agg_dropped_series_total",
-		"recordings refused by a family's aggregation cardinality cap", "counter",
-		[]string{"family"}, func(emit func([]string, float64)) {
-			for _, st := range m.agg.Stats() {
-				if st.DroppedSeries > 0 {
-					emit([]string{st.Name}, float64(st.DroppedSeries))
-				}
-			}
-		})
-	reg.Collect("archlined_agg_dropped_samples_total",
-		"timer samples overwritten before their interval flush", "counter",
-		[]string{"family"}, func(emit func([]string, float64)) {
-			for _, st := range m.agg.Stats() {
-				if st.DroppedSamples > 0 {
-					emit([]string{st.Name}, float64(st.DroppedSamples))
-				}
-			}
-		})
-	reg.Collect("archlined_agg_flush_age_seconds",
-		"seconds since the last interval flush of the aggregation stage", "gauge", nil,
+	reg.Collect("archlined_distinct_platforms_queried",
+		"distinct platform ids queried since start, saturating at the series cap", "gauge", nil,
 		func(emit func([]string, float64)) {
-			m.flushMu.Lock()
-			last := m.lastFlush
-			m.flushMu.Unlock()
-			if last.IsZero() {
-				// No interval flush yet (render-time flushes are not
-				// counted): emitting nothing beats emitting a lie.
-				return
-			}
-			emit(nil, math.Round(m.now().Sub(last).Seconds()*1000)/1000)
+			emit(nil, float64(m.platformQueries.Len()))
 		})
 
 	reg.Collect("archlined_uptime_seconds", "seconds since the daemon started", "gauge", nil,
@@ -357,32 +288,14 @@ func (m *Metrics) latencyEndpoints() []string {
 	return eps
 }
 
-// noteRequest records one finished request. The write is two striped
-// aggregation updates — no registry family lock, no allocation — and
-// the data reaches the exposition at the next flush.
+// noteRequest records one finished request: its endpoint×status
+// counter, then the same latency sample into the duration histogram and
+// the endpoint's sliding window, so the two latency surfaces always
+// hold the same population.
 func (m *Metrics) noteRequest(endpoint string, status int, d time.Duration) {
-	m.aggRequests.Add2(endpoint, statusLabel(status), 1)
-	m.aggLatency.Observe1(endpoint, d.Seconds())
-}
-
-// notePlatformQuery records one platform resolution on the model query
-// paths; id is the registry platform id or "inline" for caller-supplied
-// platform descriptions.
-func (m *Metrics) notePlatformQuery(id string) {
-	m.aggPlatQueries.Add1(id, 1)
-	m.aggPlatSet.Insert(id)
-}
-
-// sinkLatency is the latency timer's flush sink: the single recording
-// call in noteRequest feeds both latency surfaces from here — the
-// duration histogram and the sliding-window quantiles — so the two can
-// never double-count or drift apart.
-func (m *Metrics) sinkLatency(labels []string, samples []float64) {
-	endpoint := labels[0]
-	h := m.duration.With(endpoint)
-	for _, s := range samples {
-		h.Observe(s)
-	}
+	s := d.Seconds()
+	m.requests.With(endpoint, statusLabel(status)).Inc()
+	m.duration.With(endpoint).Observe(s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w, ok := m.latencies[endpoint]
@@ -390,27 +303,13 @@ func (m *Metrics) sinkLatency(labels []string, samples []float64) {
 		w = &latWindow{}
 		m.latencies[endpoint] = w
 	}
-	for _, s := range samples {
-		w.add(s)
-	}
+	w.add(s)
 }
 
-// FlushAgg drains the aggregation stage into the registry and counts
-// the flush; the server's interval flusher calls it. Render also
-// flushes, but uncounted — archlined_agg_flushes_total and the flush
-// age track only the interval cadence, so a lagging flusher is visible
-// no matter how often the exposition is scraped.
-func (m *Metrics) FlushAgg() {
-	m.agg.Flush()
-	m.aggFlushes.Inc()
-	m.flushMu.Lock()
-	m.lastFlush = m.now()
-	m.flushMu.Unlock()
-}
-
-// AggStats exposes the aggregation stage's cardinality accounting (for
-// tests and embedding).
-func (m *Metrics) AggStats() []agg.FamilyStats { return m.agg.Stats() }
+// notePlatformQuery records one platform resolution on the model query
+// paths; id is the registry platform id or "inline" for caller-supplied
+// platform descriptions.
+func (m *Metrics) notePlatformQuery(id string) { m.platformQueries.With(id).Inc() }
 
 // statusLabel returns the decimal status label without allocating for
 // the codes the daemon actually answers; anything exotic falls back to
@@ -480,19 +379,13 @@ func (m *Metrics) ModelEvals() int64 { return int64(m.modelEvals.Value()) }
 // CacheHits reports the total cache hits so far.
 func (m *Metrics) CacheHits() int64 { return int64(m.cacheHits.Value()) }
 
-// Requests reports the total finished requests across all endpoints,
-// draining the aggregation stage first so buffered requests count.
-func (m *Metrics) Requests() int64 {
-	m.agg.Flush()
-	return int64(m.requests.Sum())
-}
+// Requests reports the total finished requests across all endpoints.
+func (m *Metrics) Requests() int64 { return int64(m.requests.Sum()) }
 
-// Render emits the text exposition. The aggregation stage is drained
-// first (uncounted — see FlushAgg) so a scrape never reads stale
-// buffered state; families and series are key-sorted and the clock is
-// injectable, so two renders of the same state are byte-identical.
+// Render emits the text exposition. Families and series are key-sorted
+// and the clock is injectable, so two renders of the same state are
+// byte-identical.
 func (m *Metrics) Render() string {
-	m.agg.Flush()
 	return "# archlined metrics\n" + m.reg.Render()
 }
 

@@ -100,9 +100,9 @@ func TestMetricsConcurrentRender(t *testing.T) {
 }
 
 // TestLatencyPathsAgree pins the double-accounting fix: one noteRequest
-// call feeds both latency surfaces through a single aggregation sink,
-// so every endpoint in the sliding-window summary also has duration
-// histogram counts, and the two populations are equal.
+// call records the same sample into both latency surfaces, so every
+// endpoint in the sliding-window summary also has duration histogram
+// counts, and the two populations are equal.
 func TestLatencyPathsAgree(t *testing.T) {
 	m := fixedMetrics()
 	m.noteRequest("/v1/query", 200, 10*time.Millisecond)
@@ -128,9 +128,9 @@ func TestLatencyPathsAgree(t *testing.T) {
 }
 
 // TestPlatformQueryAggregation checks the per-platform counters and the
-// distinct-platform set flow through the aggregation stage into the
-// exposition, and that the set resets per interval while the counters
-// accumulate.
+// distinct-platform gauge in the exposition, and that both count since
+// start: a repeat query of a known platform adds to its counter but not
+// to the distinct count.
 func TestPlatformQueryAggregation(t *testing.T) {
 	m := fixedMetrics()
 	m.notePlatformQuery("gtx-titan")
@@ -141,20 +141,17 @@ func TestPlatformQueryAggregation(t *testing.T) {
 		`archlined_platform_queries_total{platform="gtx-titan"} 2`,
 		`archlined_platform_queries_total{platform="i7-3615qm"} 1`,
 		`archlined_distinct_platforms_queried 2`,
-		`archlined_agg_series{family="platform_queries"} 2`,
 	} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, exp)
 		}
 	}
 
-	// Next interval: one platform queried again. The counter accumulates
-	// across flushes; the distinct gauge reflects only the new interval.
 	m.notePlatformQuery("gtx-titan")
 	exp = m.Render()
 	for _, want := range []string{
 		`archlined_platform_queries_total{platform="gtx-titan"} 3`,
-		`archlined_distinct_platforms_queried 1`,
+		`archlined_distinct_platforms_queried 2`,
 	} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, exp)
@@ -162,47 +159,26 @@ func TestPlatformQueryAggregation(t *testing.T) {
 	}
 }
 
-// TestAggFlushAccounting checks only interval flushes (FlushAgg) count
-// toward archlined_agg_flushes_total and the flush age appears only
-// after the first one — render-time drains keep the exposition fresh
-// without masking a dead flusher.
-func TestAggFlushAccounting(t *testing.T) {
-	m := fixedMetrics()
-	m.noteRequest("/v1/query", 200, time.Millisecond)
-	exp := m.Render()
-	if !strings.Contains(exp, "archlined_agg_flushes_total 0") {
-		t.Error("render-time drain must not count as an interval flush")
-	}
-	if strings.Contains(exp, "archlined_agg_flush_age_seconds") {
-		t.Error("flush age rendered before any interval flush")
-	}
-
-	m.FlushAgg()
-	exp = m.Render()
-	if !strings.Contains(exp, "archlined_agg_flushes_total 1") {
-		t.Error("interval flush was not counted")
-	}
-	// The fixed clock pins every read after construction to t0+90s, so
-	// the age of a flush taken "now" renders as exactly zero.
-	if !strings.Contains(exp, "archlined_agg_flush_age_seconds 0") {
-		t.Errorf("flush age missing after an interval flush:\n%s", exp)
-	}
-}
-
 // TestPlatformQueryCardinalityCap floods notePlatformQuery past the
-// aggregation family's cap and checks the overflow is dropped and
-// counted rather than stored.
+// registry's 256-series cap and checks the overflow is dropped and
+// counted rather than stored, with the distinct gauge saturating at the
+// cap.
 func TestPlatformQueryCardinalityCap(t *testing.T) {
 	m := fixedMetrics()
 	for i := 0; i < 300; i++ {
 		m.notePlatformQuery("plat-" + strconv.Itoa(i))
 	}
 	exp := m.Render()
-	if !strings.Contains(exp, `archlined_agg_series{family="platform_queries"} 256`) {
-		t.Error("platform_queries family grew past its 256-series cap")
+	if n := strings.Count(exp, `archlined_platform_queries_total{platform="plat-`); n != 256 {
+		t.Errorf("rendered %d per-platform series, want the 256-series cap", n)
 	}
-	if !strings.Contains(exp, `archlined_agg_dropped_series_total{family="platform_queries"} 44`) {
-		t.Errorf("44 over-cap recordings were not counted dropped:\n%s", exp)
+	for _, want := range []string{
+		`obs_dropped_series_total{family="archlined_platform_queries_total"} 44`,
+		`archlined_distinct_platforms_queried 256`,
+	} {
+		if !strings.Contains(exp, want) {
+			t.Errorf("exposition missing %q in:\n%s", want, exp)
+		}
 	}
 }
 

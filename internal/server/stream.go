@@ -85,15 +85,8 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any,
 		precision = "single"
 	}
 	g := req.sweepGrid.orDefaults()
-	if !(g.IMin > 0) || math.IsInf(g.IMin, 0) {
-		return nil, errBadRequest("imin must be a positive finite intensity, got %g", g.IMin)
-	}
-	if !(g.IMax > g.IMin) || math.IsInf(g.IMax, 0) {
-		return nil, errBadRequest("imax must exceed imin, got [%g, %g]", g.IMin, g.IMax)
-	}
-	if g.Points < 2 || g.Points > streamMaxPoints {
-		return nil, errBadRequest("points must be in [2, %d] for streaming sweeps, got %d",
-			streamMaxPoints, g.Points)
+	if aerr := g.validate(streamMaxPoints); aerr != nil {
+		return nil, aerr
 	}
 	chunk := req.ChunkPoints
 	if chunk == 0 {

@@ -121,42 +121,55 @@ func TestSweepStreamGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestStreamChunkEncoderMatchesEncodingJSON pins the hand-rolled
-// encoder against encoding/json on adversarial values: magnitudes that
-// flip the float format to 'e' (with the exponent-zero cleanup), exact
-// zeros that trigger omitempty, non-finite throttles that the nf box
-// drops, and non-finite required values that must drop the whole line
-// just as a failed Encode wrote nothing.
-func TestStreamChunkEncoderMatchesEncodingJSON(t *testing.T) {
-	mk := func(iv, rate, uncapped, eff, power, throttle float64) model.Point {
-		return model.Point{
-			Intensity: iv, Regime: model.ComputeBound,
-			FlopsPerSec: rate, UncappedFlopsPerSec: uncapped,
-			FlopsPerJoule: eff, AvgPowerW: power, Throttle: throttle,
-		}
+// encoderEdgePoints are adversarial (intensity, rate, uncapped rate,
+// efficiency, power, throttle) values for the chunk encoder: magnitudes
+// that flip the float format to 'e' (with the exponent-zero cleanup),
+// exact zeros that trigger omitempty, and non-finite throttles that the
+// nf box drops. FuzzStreamChunk starts from them.
+var encoderEdgePoints = [][6]float64{
+	{0.125, 3.5e11, 4e11, 2.1e9, 95.25, 1},
+	{1e-7, 1.5e21, 0, 5e-7, 1e21, 0},              // 'e' format, omitted uncapped
+	{2.5e22, 1e-6, 1e-7, 123456789.123, 0, 0.5},   // exponent boundary both sides
+	{4, 0, 0, 0, -7.5, math.NaN()},                // zeros kept, NaN throttle dropped
+	{64, 9.999e20, 1e-99, 1e300, 42, math.Inf(1)}, // tiny 'e' with long exponent
+}
+
+// edgePoint builds a compute-bound point from encoder test values.
+func edgePoint(iv, rate, uncapped, eff, power, throttle float64) model.Point {
+	return model.Point{
+		Intensity: iv, Regime: model.ComputeBound,
+		FlopsPerSec: rate, UncappedFlopsPerSec: uncapped,
+		FlopsPerJoule: eff, AvgPowerW: power, Throttle: throttle,
 	}
-	pts := []model.Point{
-		mk(0.125, 3.5e11, 4e11, 2.1e9, 95.25, 1),
-		mk(1e-7, 1.5e21, 0, 5e-7, 1e21, 0),              // 'e' format, omitted uncapped
-		mk(2.5e22, 1e-6, 1e-7, 123456789.123, 0, 0.5),   // exponent boundary both sides
-		mk(4, 0, 0, 0, -7.5, math.NaN()),                // zeros kept, NaN throttle dropped
-		mk(64, 9.999e20, 1e-99, 1e300, 42, math.Inf(1)), // tiny 'e' with long exponent
+}
+
+// wirePoint is pt as the rooflinePoint that encoding/json marshals.
+func wirePoint(pt model.Point) rooflinePoint {
+	return rooflinePoint{
+		Intensity:           pt.Intensity,
+		Regime:              pt.Regime.Letter(),
+		FlopsPerSec:         pt.FlopsPerSec,
+		UncappedFlopsPerSec: pt.UncappedFlopsPerSec,
+		FlopsPerJoule:       pt.FlopsPerJoule,
+		AvgPowerW:           pt.AvgPowerW,
+		Throttle:            nf(pt.Throttle),
+	}
+}
+
+// TestStreamChunkEncoderMatchesEncodingJSON pins the hand-rolled
+// encoder against encoding/json on encoderEdgePoints in one chunk, and
+// on non-finite required values that must drop the whole line just as
+// a failed Encode wrote nothing.
+func TestStreamChunkEncoderMatchesEncodingJSON(t *testing.T) {
+	pts := make([]model.Point, 0, len(encoderEdgePoints))
+	wire := make([]rooflinePoint, 0, len(encoderEdgePoints))
+	for _, v := range encoderEdgePoints {
+		pt := edgePoint(v[0], v[1], v[2], v[3], v[4], v[5])
+		pts = append(pts, pt)
+		wire = append(wire, wirePoint(pt))
 	}
 	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	wire := make([]rooflinePoint, 0, len(pts))
-	for _, pt := range pts {
-		wire = append(wire, rooflinePoint{
-			Intensity:           pt.Intensity,
-			Regime:              pt.Regime.Letter(),
-			FlopsPerSec:         pt.FlopsPerSec,
-			UncappedFlopsPerSec: pt.UncappedFlopsPerSec,
-			FlopsPerJoule:       pt.FlopsPerJoule,
-			AvgPowerW:           pt.AvgPowerW,
-			Throttle:            nf(pt.Throttle),
-		})
-	}
-	if err := enc.Encode(streamChunk{Seq: 7, Points: wire}); err != nil {
+	if err := json.NewEncoder(&want).Encode(streamChunk{Seq: 7, Points: wire}); err != nil {
 		t.Fatal(err)
 	}
 	got, ok := appendStreamChunk(nil, 7, pts)
@@ -169,7 +182,7 @@ func TestStreamChunkEncoderMatchesEncodingJSON(t *testing.T) {
 
 	// A non-finite required value fails encoding/json's Encode (which
 	// then writes nothing); the appender must report the same.
-	bad := []model.Point{mk(1, math.Inf(1), 0, 1, 1, 1)}
+	bad := []model.Point{edgePoint(1, math.Inf(1), 0, 1, 1, 1)}
 	if _, ok := appendStreamChunk(nil, 0, bad); ok {
 		t.Fatal("appendStreamChunk accepted a non-finite required value")
 	}
@@ -177,4 +190,26 @@ func TestStreamChunkEncoderMatchesEncodingJSON(t *testing.T) {
 	if err := json.NewEncoder(&bytes.Buffer{}).Encode(streamChunk{Points: badWire}); err == nil {
 		t.Fatal("encoding/json accepted a non-finite value; drop-line parity assumption broken")
 	}
+}
+
+// FuzzStreamChunk holds appendStreamChunk to encoding/json on one point
+// of arbitrary float64 values: the bytes must be equal, and the
+// appender must report a non-finite value exactly when Encode fails
+// (the drop-the-line parity).
+func FuzzStreamChunk(f *testing.F) {
+	for _, v := range encoderEdgePoints {
+		f.Add(v[0], v[1], v[2], v[3], v[4], v[5])
+	}
+	f.Fuzz(func(t *testing.T, iv, rate, uncapped, eff, power, throttle float64) {
+		pt := edgePoint(iv, rate, uncapped, eff, power, throttle)
+		var want bytes.Buffer
+		err := json.NewEncoder(&want).Encode(streamChunk{Seq: 7, Points: []rooflinePoint{wirePoint(pt)}})
+		got, ok := appendStreamChunk(nil, 7, []model.Point{pt})
+		if ok != (err == nil) {
+			t.Fatalf("appendStreamChunk ok = %v, encoding/json error = %v", ok, err)
+		}
+		if ok && !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("encoder mismatch\n got: %s\nwant: %s", got, want.Bytes())
+		}
+	})
 }

@@ -5,8 +5,8 @@
 # (GOFLAGS=-count=1) so every run re-executes the suite, and with a
 # per-analyzer summary of archlint findings (total and suppressed) on
 # stderr. Exits nonzero if gofmt, the build, vet, the tests (the
-# _perfbench module's included), or any unsuppressed archlint finding
-# fails.
+# _perfbench module's included), the short fuzz run, or any
+# unsuppressed archlint finding fails.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -36,6 +36,12 @@ echo "ci: _perfbench vet + test"
 # catches an internal API change that breaks the repository benchmark.
 go -C _perfbench vet ./...
 go -C _perfbench test ./...
+
+echo "ci: fuzz"
+# A short differential run of the NDJSON chunk encoder against
+# encoding/json; a failing input is written under
+# internal/server/testdata/fuzz/ and then replays in every go test run.
+go test -run '^$' -fuzz '^FuzzStreamChunk$' -fuzztime 10s ./internal/server/
 
 echo "ci: archlint"
 go run ./cmd/archlint -summary ./...
@@ -92,13 +98,11 @@ go run ./scripts/smoke -base "$base"
 echo "ci: archloadgen load smoke"
 # A short deterministic load pass against the same daemon, gated on the
 # committed budget: nonzero throughput, no unexpected 5xx or transport
-# errors, and (-check-agg) the aggregation pipeline's health contract —
-# per-platform query counters materialized in /metrics and the interval
-# flusher alive and recent. Runs after the smoke probe because smoke
-# pins exact counter values that load traffic would shift.
+# errors. Runs after the smoke probe because smoke pins exact counter
+# values that load traffic would shift.
 go build -o "$tmpdir/archloadgen" ./cmd/archloadgen
 "$tmpdir/archloadgen" -base "$base" -duration 2s -seed 42 -json \
-    -budget scripts/load_budget.json -check-agg >"$tmpdir/loadgen.json"
+    -budget scripts/load_budget.json >"$tmpdir/loadgen.json"
 grep -q '"requests"' "$tmpdir/loadgen.json" || {
     echo "ci: archloadgen emitted no JSON report" >&2
     exit 1

@@ -2,8 +2,8 @@
 // daemon, it checks /healthz, the shape of one roofline sweep, response
 // determinism (two identical requests must return identical bytes), the
 // metrics exposition (including line-level format validity),
-// X-Request-Id echo, the /v1/batch fan-out (duplicate items identical,
-// bad items failing in-slot), the NDJSON sweep stream protocol, and the
+// X-Request-Id echo, /v1/batch (duplicate items identical, bad items
+// failing in-slot), the NDJSON sweep stream protocol, and the
 // async fit-job lifecycle (submit, poll to terminal, grade, cancel
 // mid-flight). With -chaos it instead asserts graceful
 // degradation against a daemon running with chaos middleware enabled:
@@ -118,14 +118,12 @@ func main() {
 		"archlined_model_evals_total 1",
 		"# HELP archlined_requests_total",
 		"# TYPE archlined_request_duration_seconds histogram",
-		// The aggregation stage: both roofline requests above counted
-		// against gtx-titan (the response cache sits below the counter),
-		// and rendering /metrics drains the aggregator, so the
-		// per-platform series and the distinct-platforms gauge are exact
-		// here regardless of interval-flusher timing.
+		// Both roofline requests above counted against gtx-titan (the
+		// response cache sits below the counter), and every request
+		// records straight into the registry, so the per-platform series
+		// and the distinct-platforms gauge are exact here.
 		`archlined_platform_queries_total{platform="gtx-titan"} 2`,
 		"archlined_distinct_platforms_queried 1",
-		`archlined_agg_series{family="requests"}`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			log.Fatalf("smoke: metrics missing %q in:\n%s", want, metrics)
