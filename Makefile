@@ -24,7 +24,8 @@ lint:
 	$(GO) run ./cmd/archlint ./...
 
 ## check is the full pre-merge gate (scripts/check.sh): gofmt, build,
-## vet, race tests, the _perfbench module's vet and tests, and lint.
+## vet, race tests (plus a ten-fold race storm on microbench, obs and
+## cli), the _perfbench module's vet and tests, and lint.
 check:
 	./scripts/check.sh
 

@@ -453,6 +453,7 @@ func measurePlatform(opts experiments.Options, plat *machine.Platform, profile s
 		if opts.SweepPoints > 0 {
 			cfg.SweepPoints = opts.SweepPoints
 		}
+		cfg.Workers = opts.Workers
 		simOpts := sim.Options{Seed: opts.Seed, Noiseless: opts.Noiseless, Sanitize: true}
 		if prof.Enabled() {
 			simOpts.Faults = faults.New(prof, faultSeed)

@@ -135,6 +135,48 @@ func TestMeasureTraceDeterministic(t *testing.T) {
 	}
 }
 
+// TestMeasureWorkersInvariant runs the traced fault-injected measure at
+// one and at eight kernel workers into the same trace path: -workers
+// buys wall clock only, so stdout must be byte-equal and the span trees
+// (ids, parents, line order) equal once timestamps are stripped.
+func TestMeasureWorkersInvariant(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.ndjson")
+	run := func(workers string) (string, string) {
+		var out, errb bytes.Buffer
+		code := Main([]string{"-workers", workers, "-platform", "gtx-titan", "-points", "10",
+			"-faults", "paper", "-fault-seed", "1", "-trace-out", path, "measure"}, &out, &errb)
+		if code != ExitOK {
+			t.Fatalf("measure -workers %s exit %d, stderr: %s", workers, code, errb.String())
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var shapes []string
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			var s spanLine
+			if err := json.Unmarshal([]byte(line), &s); err != nil {
+				t.Fatal(err)
+			}
+			s.Start, s.DurMS = "", 0
+			shape, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shapes = append(shapes, string(shape))
+		}
+		return out.String(), strings.Join(shapes, "\n")
+	}
+	out1, trace1 := run("1")
+	out8, trace8 := run("8")
+	if out1 != out8 {
+		t.Errorf("stdout differs between -workers 1 and -workers 8:\n%s\nvs\n%s", out1, out8)
+	}
+	if trace1 != trace8 {
+		t.Error("span tree differs between -workers 1 and -workers 8")
+	}
+}
+
 // TestServeTraceLogAndPprof boots the daemon with -trace-log and -pprof:
 // the profile index must be served, and each handled request must land
 // in the trace log as an http.* span.

@@ -3,12 +3,11 @@ package fit
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"archline/internal/microbench"
 	"archline/internal/model"
+	"archline/internal/pool"
 	"archline/internal/sim"
 	"archline/internal/stats"
 )
@@ -74,61 +73,36 @@ func Bootstrap(res *microbench.Result, b int, level float64, opts Options) (*Boo
 
 	// Replicate fits use fewer restarts: each resample is a perturbation
 	// of a well-conditioned problem whose solution is near the point
-	// estimate. Replicates are independent, so they fan out across a
-	// worker pool; each derives its own deterministic resampling stream,
+	// estimate. Replicates are independent, so they fan out on the
+	// shared pool; each derives its own deterministic resampling stream,
 	// making the result identical at any parallelism.
 	repOpts := opts
 	repOpts.Restarts = 2
-
-	type repResult struct {
-		vec [6]float64
-		err error
-	}
-	results := make([]repResult, b)
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	workers := runtime.NumCPU()
-	if workers > b {
-		workers = b
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := range jobs {
-				rng := stats.NewStream(opts.Seed^0xb00f,
-					fmt.Sprintf("bootstrap-%s-%d", res.Platform.ID, rep))
-				clone := &microbench.Result{
-					Platform:  res.Platform,
-					IdlePower: res.IdlePower,
-				}
-				// Case-resample the SP sweep; keep everything else out
-				// (only the DRAM parameters are bootstrapped).
-				for range sweep {
-					clone.Measurements = append(clone.Measurements, sweep[rng.Intn(len(sweep))])
-				}
-				pf, err := Platform(clone, repOpts)
-				if err != nil {
-					results[rep] = repResult{err: err}
-					continue
-				}
-				results[rep] = repResult{vec: paramVector(pf.Params)}
-			}
-		}()
-	}
-	for rep := 0; rep < b; rep++ {
-		jobs <- rep
-	}
-	close(jobs)
-	wg.Wait()
-
-	samples := make([][]float64, 6)
-	for rep, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("fit: bootstrap replicate %d: %w", rep, r.err)
+	vecs, errs := pool.Map(make([]struct{}, b), 0, func(rep int, _ struct{}) ([6]float64, error) {
+		rng := stats.NewStream(opts.Seed^0xb00f,
+			fmt.Sprintf("bootstrap-%s-%d", res.Platform.ID, rep))
+		clone := &microbench.Result{
+			Platform:  res.Platform,
+			IdlePower: res.IdlePower,
 		}
+		// Case-resample the SP sweep; keep everything else out (only
+		// the DRAM parameters are bootstrapped).
+		for range sweep {
+			clone.Measurements = append(clone.Measurements, sweep[rng.Intn(len(sweep))])
+		}
+		pf, err := Platform(clone, repOpts)
+		if err != nil {
+			return [6]float64{}, err
+		}
+		return paramVector(pf.Params), nil
+	})
+	if rep, err := pool.FirstError(errs); err != nil {
+		return nil, fmt.Errorf("fit: bootstrap replicate %d: %w", rep, err)
+	}
+	samples := make([][]float64, 6)
+	for _, vec := range vecs {
 		for j := range samples {
-			samples[j] = append(samples[j], r.vec[j])
+			samples[j] = append(samples[j], vec[j])
 		}
 	}
 

@@ -104,8 +104,8 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		// "Use the machine" per the shared pool.Clamp policy, but never
 		// more than DefaultWorkers: a job is a whole-suite measure→fit
-		// run, not a per-kernel work item, and the kernel-level fan-out
-		// inside each job already soaks the cores.
+		// run, not a per-kernel work item, and the robust suite inside
+		// each job already fans its kernels out over the cores.
 		c.Workers = pool.Clamp(0, DefaultWorkers)
 	}
 	if c.QueueDepth == 0 {

@@ -15,8 +15,8 @@ import (
 //  2. the launching function must contain a visible join — a
 //     WaitGroup-style Wait call, a channel receive, a select, or a
 //     range over a channel — so goroutines cannot silently outlive the
-//     work that spawned them (the worker pools in internal/fit and
-//     internal/experiments are the reference shape).
+//     work that spawned them (pool.Map in internal/pool is the
+//     reference shape).
 var CtxGoroutine = &Analyzer{
 	Name: "ctxgoroutine",
 	Doc:  "flags goroutines that capture loop variables or lack a visible join",

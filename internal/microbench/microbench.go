@@ -47,12 +47,14 @@ type Config struct {
 	IncludeCache bool
 	// IncludeChase adds the random-access kernel.
 	IncludeChase bool
-	// Workers bounds the kernel-level fan-out of Run: how many kernels
-	// are measured concurrently on this platform. Zero means NumCPU;
-	// the count is clamped by pool.Clamp, the same policy the
-	// platform-level fan-out in internal/experiments uses. Every noise
-	// stream keys on (platform, kernel), so Run's output is
-	// bit-identical at any worker count — workers only buy wall clock.
+	// Workers bounds the kernel-level fan-out of Run and
+	// RunRobustContext: how many kernels are measured concurrently on
+	// this platform. Zero means NumCPU; the count is clamped by
+	// pool.Clamp, the same policy the platform-level fan-out in
+	// internal/experiments uses. Every noise, fault and retry-jitter
+	// stream keys on (platform, kernel, repeat), so both runners'
+	// outputs are bit-identical at any worker count — workers only buy
+	// wall clock.
 	Workers int
 }
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"archline/internal/faults"
 	"archline/internal/machine"
 	"archline/internal/obs"
+	"archline/internal/pool"
 	"archline/internal/powermon"
 	"archline/internal/sim"
 	"archline/internal/stats"
@@ -21,8 +23,14 @@ type RobustConfig struct {
 	Repeats int
 	// Backoff schedules retries of transient measurement errors.
 	Backoff faults.Backoff
-	// Sleep receives each backoff delay; nil means time.Sleep. Tests
-	// inject a recording stub so no retry ever blocks on a real clock.
+	// Sleep receives each backoff delay. Nil means a timer that also
+	// wakes when the suite's context is canceled; it runs in every
+	// worker at once, so the kernels' retry waits overlap. A non-nil
+	// Sleep is never called concurrently: the runner serializes the
+	// calls, so a stub may record into plain variables, and it must
+	// return promptly because the other workers' retries queue behind
+	// it. Tests inject a recording stub so no retry ever blocks on a
+	// real clock.
 	Sleep func(time.Duration)
 }
 
@@ -74,6 +82,17 @@ func RunRobust(plat *machine.Platform, cfg Config, opts sim.Options, rc RobustCo
 // kernel gets a child span carrying retry, lost-repeat, and discard
 // events, and the suite span closes with the aggregate robustness
 // stats. Without a tracer on ctx it behaves exactly like RunRobust.
+//
+// Like Run, it measures the kernels concurrently on pool.Map
+// (Config.Workers; zero means NumCPU), so their CPU work spreads over
+// the cores and their retry waits overlap. One pool item is one
+// kernel: its repeats and their retries stay in order inside the item,
+// because the fault injector's per-label disconnect countdown and each
+// repeat's jitter stream follow that order. Every noise, fault and
+// jitter stream keys on (seed, platform, kernel, repeat), so the
+// Result and RobustStats are bit-identical at any worker count, and
+// each kernel's span subtree is held (obs.Hold) and released in suite
+// order, so the trace is too.
 func RunRobustContext(ctx context.Context, plat *machine.Platform, cfg Config,
 	opts sim.Options, rc RobustConfig) (*Result, *RobustStats, error) {
 	rc = rc.withDefaults()
@@ -89,6 +108,16 @@ func RunRobustContext(ctx context.Context, plat *machine.Platform, cfg Config,
 			case <-ctx.Done():
 			}
 		}
+	} else {
+		// Holding mu across the caller's Sleep is the point: the
+		// workers' retries take turns (see RobustConfig.Sleep).
+		var mu sync.Mutex
+		sleep := rc.Sleep
+		rc.Sleep = func(d time.Duration) {
+			mu.Lock()
+			defer mu.Unlock()
+			sleep(d)
+		}
 	}
 	opts.Sanitize = true
 	ctx, span := obs.Start(ctx, "microbench.suite",
@@ -98,23 +127,38 @@ func RunRobustContext(ctx context.Context, plat *machine.Platform, cfg Config,
 	if err != nil {
 		return nil, nil, err
 	}
-	s := sim.New(plat, opts)
-	res := &Result{Platform: plat}
-	rs := &RobustStats{Repeats: rc.Repeats}
-	for _, k := range kernels {
-		// The simulator itself never blocks, so cancellation (an async
-		// job being deleted, a drain deadline) is honoured here, between
-		// kernels — the suite stops promptly instead of grinding through
-		// the remaining measurements.
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("microbench: suite on %s: %w", plat.Name, err)
-		}
-		m, err := measureKernelRobust(ctx, s, k, rc, rs, opts.Seed)
-		if err != nil {
-			return nil, nil, fmt.Errorf("microbench: %s on %s: %w", k.Name, plat.Name, err)
-		}
-		res.Measurements = append(res.Measurements, m)
+	// The simulator itself never blocks, so cancellation (an async job
+	// being deleted, a drain deadline) is honoured here and before each
+	// repeat inside the pool — the suite stops promptly instead of
+	// grinding through the remaining measurements.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, fmt.Errorf("microbench: suite on %s: %w", plat.Name, err)
 	}
+	s := sim.New(plat, opts)
+	runs, errs := pool.Map(kernels, cfg.Workers, func(_ int, k sim.Kernel) (kernelRun, error) {
+		kctx, held := obs.Hold(ctx)
+		run := kernelRun{held: held}
+		var err error
+		run.m, err = measureKernelRobust(kctx, s, k, rc, &run.rs, opts.Seed)
+		return run, err
+	})
+	res := &Result{Platform: plat, Measurements: make([]sim.Measurement, len(runs))}
+	rs := &RobustStats{Repeats: rc.Repeats}
+	// Every subtree is released in suite order, a failed kernel's too,
+	// so the trace reads as a serial run's and no span is lost.
+	for i, run := range runs {
+		run.held.Release()
+		res.Measurements[i] = run.m
+		rs.Retries += run.rs.Retries
+		rs.Discarded += run.rs.Discarded
+		if run.rs.WorstGrade > rs.WorstGrade {
+			rs.WorstGrade = run.rs.WorstGrade
+		}
+	}
+	if i, err := pool.FirstError(errs); err != nil {
+		return nil, nil, fmt.Errorf("microbench: %s on %s: %w", kernels[i].Name, plat.Name, err)
+	}
+	// The idle repeats share one fault label, so they stay serial.
 	idle, err := measureIdleRobust(ctx, s, rc, rs, opts.Seed, plat)
 	if err != nil {
 		return nil, nil, err
@@ -123,6 +167,15 @@ func RunRobustContext(ctx context.Context, plat *machine.Platform, cfg Config,
 	span.SetAttr(obs.Int("kernels", len(res.Measurements)), obs.Int("retries", rs.Retries),
 		obs.Int("discarded", rs.Discarded), obs.String("worst_grade", rs.WorstGrade.String()))
 	return res, rs, nil
+}
+
+// kernelRun is one pool item of the robust suite: the kernel's
+// aggregated measurement, the stats of its own repeats, and its held
+// span subtree.
+type kernelRun struct {
+	m    sim.Measurement
+	rs   RobustStats
+	held *obs.Held
 }
 
 // measureKernelRobust measures one kernel Repeats times with retry,
@@ -218,7 +271,12 @@ func aggregate(reps []sim.Measurement) sim.Measurement {
 }
 
 // measureIdleRobust records the idle baseline with retry and takes the
-// median across repeats.
+// median across repeats. The repeats are identical: MeasureIdleContext
+// draws every one from the same <platform>/idle noise stream and fault
+// label, so all Repeats readings carry the same bits and the median is
+// any one of them; only their retries differ. Giving each repeat its
+// own label would change the fitted constants (ROADMAP lists it). The
+// shared label's disconnect countdown also keeps the repeats serial.
 func measureIdleRobust(ctx context.Context, s *sim.Simulator, rc RobustConfig,
 	rs *RobustStats, seed uint64, plat *machine.Platform) (units.Power, error) {
 	ctx, span := obs.Start(ctx, "microbench.idle", obs.Int("repeats", rc.Repeats))

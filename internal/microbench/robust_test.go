@@ -1,13 +1,18 @@
 package microbench
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"archline/internal/faults"
 	"archline/internal/machine"
+	"archline/internal/obs"
 	"archline/internal/powermon"
 	"archline/internal/sim"
 )
@@ -152,5 +157,153 @@ func TestRunRobustContextCancellation(t *testing.T) {
 	}
 	if res != nil {
 		t.Errorf("canceled run still returned a result with %d measurements", len(res.Measurements))
+	}
+}
+
+// traceShape returns a trace's span lines without their wall-clock
+// fields (start, dur_ms, offset_ms): ids, parents, names, attrs, events
+// and line order are what must not depend on scheduling.
+func traceShape(t *testing.T, buf *bytes.Buffer) string {
+	t.Helper()
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		delete(rec, "start")
+		delete(rec, "dur_ms")
+		events, _ := rec["events"].([]any)
+		for _, e := range events {
+			delete(e.(map[string]any), "offset_ms")
+		}
+		shape, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, string(shape))
+	}
+	return strings.Join(lines, "\n")
+}
+
+// TestRunRobustDeterministicAcrossWorkers is the scheduling-independence
+// contract of the robust suite's kernel pool under the paper fault
+// profile: at every worker count the Result, the RobustStats, the
+// traced span tree and the number of backoff waits equal the one-worker
+// run's. The Sleep stub counts into a plain int, which -race accepts
+// only because the runner serializes caller-supplied Sleep calls.
+func TestRunRobustDeterministicAcrossWorkers(t *testing.T) {
+	plat := machine.MustByID(machine.GTXTitan)
+	type outcome struct {
+		result []byte
+		stats  RobustStats
+		trace  string
+		slept  int
+	}
+	run := func(workers int) outcome {
+		cfg := DefaultConfig()
+		cfg.SweepPoints = 10
+		cfg.Workers = workers
+		var buf bytes.Buffer
+		tr := obs.NewTracer(&buf)
+		var o outcome
+		res, rs, err := RunRobustContext(obs.WithTracer(context.Background(), tr), plat, cfg,
+			robustOpts(faults.New(faults.Paper(), 7)),
+			RobustConfig{Sleep: func(time.Duration) { o.slept++ }})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if st := tr.Stats(); st.Started != st.Ended {
+			t.Errorf("workers=%d: %d spans started, %d exported", workers, st.Started, st.Ended)
+		}
+		o.result, o.stats, o.trace = marshalResult(t, res), *rs, traceShape(t, &buf)
+		return o
+	}
+	want := run(1)
+	if want.stats.Retries == 0 || want.slept != want.stats.Retries {
+		t.Fatalf("reference run: %d retries, %d waits; want some retries, one wait each", want.stats.Retries, want.slept)
+	}
+	for _, workers := range []int{2, 8, 0} {
+		got := run(workers)
+		if string(got.result) != string(want.result) {
+			t.Errorf("workers=%d: Result differs from workers=1", workers)
+		}
+		if got.stats != want.stats || got.slept != want.slept {
+			t.Errorf("workers=%d: stats %v with %d waits, want %v with %d", workers, got.stats, got.slept, want.stats, want.slept)
+		}
+		if got.trace != want.trace {
+			t.Errorf("workers=%d: span tree differs from workers=1", workers)
+		}
+	}
+}
+
+// TestRunRobustSerializesSleep pins the Sleep contract: when the first
+// meter read of every repeat disconnects, all the pooled kernels retry
+// at once, yet a caller-supplied Sleep is never entered concurrently.
+func TestRunRobustSerializesSleep(t *testing.T) {
+	prof := faults.Paper()
+	prof.DisconnectProb = 1
+	prof.DisconnectBurst = 1
+	plat := machine.MustByID(machine.GTXTitan)
+	cfg := DefaultConfig()
+	cfg.SweepPoints = 16
+	cfg.IncludeDouble = false
+	cfg.IncludeCache = false
+	cfg.IncludeChase = false
+	cfg.Workers = 4
+	var inside atomic.Int32
+	n := 0
+	sleep := func(time.Duration) {
+		if inside.Add(1) > 1 {
+			t.Error("Sleep entered while another call was still running")
+		}
+		n++
+		time.Sleep(100 * time.Microsecond)
+		inside.Add(-1)
+	}
+	_, rs, err := RunRobust(plat, cfg, robustOpts(faults.New(prof, 7)), RobustConfig{Sleep: sleep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One retry per kernel repeat, plus one for the idle repeats, which
+	// share a single fault label and so a single disconnect episode.
+	if want := cfg.SweepPoints*rs.Repeats + 1; rs.Retries != want || n != want {
+		t.Errorf("%d retries and %d waits, want %d", rs.Retries, n, want)
+	}
+}
+
+// TestRunRobustCancelMidSuite cancels the suite from inside its first
+// retry wait while the kernels run on a pool: the run must fail as
+// context.Canceled with no Result, skip the repeats still queued, and
+// still export every span it started.
+func TestRunRobustCancelMidSuite(t *testing.T) {
+	plat := machine.MustByID(machine.GTXTitan)
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	kernels, err := BuildSuite(plat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	slept := 0
+	res, _, err := RunRobustContext(obs.WithTracer(ctx, tr), plat, cfg, robustOpts(faults.New(faults.Paper(), 7)),
+		RobustConfig{Sleep: func(time.Duration) { slept++; cancel() }})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Errorf("canceled run still returned a result with %d measurements", len(res.Measurements))
+	}
+	if slept == 0 {
+		t.Fatal("no retry wait happened, so the suite was never canceled mid-run")
+	}
+	if st := tr.Stats(); st.Started != st.Ended {
+		t.Errorf("%d spans started, %d exported: a held subtree was not released", st.Started, st.Ended)
+	}
+	if n, all := strings.Count(buf.String(), `"name":"sim.measure"`), len(kernels)*3; n >= all {
+		t.Errorf("%d of %d repeats were measured after the cancel", n, all)
 	}
 }

@@ -92,17 +92,23 @@ type Span struct {
 	parent uint64
 	start  time.Time
 
+	held *Held // non-nil while the span's identity and export wait on Release
+	up   *Span // the parent span, kept until a held span is identified
+
 	mu     sync.Mutex
 	attrs  []Attr
 	events []Event
 	ended  bool
+	end    time.Time
 }
 
-// context keys for the tracer, the active span, and the request ID.
+// context keys for the tracer, the active span, the request ID, and
+// the held subtree.
 type (
 	tracerKey    struct{}
 	spanKey      struct{}
 	requestIDKey struct{}
+	heldKey      struct{}
 )
 
 // WithTracer returns a context carrying the tracer; Start on that
@@ -163,20 +169,114 @@ func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *S
 	s := &Span{
 		tracer: t,
 		name:   name,
-		id:     t.seq.Add(1),
 		start:  t.now(),
 		attrs:  append([]Attr(nil), attrs...),
 	}
-	if parent := SpanFrom(ctx); parent != nil {
-		s.trace = parent.trace
-		s.parent = parent.id
-	} else if id, ok := RequestID(ctx); ok {
-		s.trace = id
-	} else {
-		s.trace = fmt.Sprintf("t%06x", s.id)
+	parent := SpanFrom(ctx)
+	if parent == nil {
+		s.trace, _ = RequestID(ctx)
+	}
+	if h, _ := ctx.Value(heldKey{}).(*Held); !h.start(s, parent) {
+		s.identify(parent)
 	}
 	t.started.Add(1)
 	return context.WithValue(ctx, spanKey{}, s), s
+}
+
+// identify takes the span's id off the tracer's sequence and its trace
+// and parent from parent; a root without a request ID starts its own
+// trace.
+func (s *Span) identify(parent *Span) {
+	s.id = s.tracer.seq.Add(1)
+	switch {
+	case parent != nil:
+		s.trace, s.parent = parent.trace, parent.id
+	case s.trace == "":
+		s.trace = fmt.Sprintf("t%06x", s.id)
+	}
+}
+
+// Held defers the identity and export of a subtree of spans so that
+// concurrent subtrees trace exactly as if they had run one after
+// another. Spans started under a held context take no id until
+// Release; Release then numbers them in start order and exports them in
+// end order. Work that fans out (the microbenchmark suite measures its
+// kernels on a pool) holds each item's subtree and releases the items
+// in item order, so span ids, parents and line order stay independent
+// of scheduling.
+type Held struct {
+	mu       sync.Mutex
+	started  []*Span // in Start order
+	ended    []*Span // in End order
+	released bool
+}
+
+// Hold returns a context under which started spans are held until the
+// returned Held is released. Without a tracer on ctx it returns ctx and
+// a nil Held whose Release does nothing. Call Release once the
+// subtree's work has returned, on error paths too: a span still held is
+// never exported. Until then a held span's ID and TraceID read as zero,
+// so Holds do not nest: a span held by an inner Held would take its
+// parent's id before the outer Release had assigned it.
+func Hold(ctx context.Context) (context.Context, *Held) {
+	if TracerFrom(ctx) == nil {
+		return ctx, nil
+	}
+	h := &Held{}
+	return context.WithValue(ctx, heldKey{}, h), h
+}
+
+// start queues a starting span for identification at Release; false
+// means h is nil or already released, and the span is identified now.
+func (h *Held) start(s, parent *Span) bool {
+	if h == nil {
+		return false
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.released {
+		return false
+	}
+	s.held, s.up = h, parent
+	h.started = append(h.started, s)
+	return true
+}
+
+// end queues an ended span for export at Release; false means h is
+// already released and the span exports now.
+func (h *Held) end(s *Span) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.released {
+		return false
+	}
+	h.ended = append(h.ended, s)
+	return true
+}
+
+// Release numbers the held spans in start order and exports the ended
+// ones in end order; spans that end later export as they end.
+// Idempotent; no-op on a nil Held.
+func (h *Held) Release() {
+	if h == nil {
+		return
+	}
+	h.mu.Lock()
+	if h.released {
+		h.mu.Unlock()
+		return
+	}
+	h.released = true
+	for _, s := range h.started {
+		s.identify(s.up)
+		s.up = nil
+	}
+	ended := h.ended
+	h.started, h.ended = nil, nil
+	h.mu.Unlock()
+	for _, s := range ended {
+		s.tracer.finish(s)
+	}
 }
 
 // TraceID returns the span's trace identifier ("" on a nil span).
@@ -224,8 +324,9 @@ func (s *Span) Event(name string, attrs ...Attr) {
 	s.tracer.events.Add(1)
 }
 
-// End finishes the span and exports it as one NDJSON line. Idempotent;
-// no-op on nil spans. Always defer it right after Start.
+// End finishes the span and exports it as one NDJSON line, or queues
+// it for its Held's Release. Idempotent; no-op on nil spans. Always
+// defer it right after Start.
 func (s *Span) End() {
 	if s == nil {
 		return
@@ -237,10 +338,12 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	rec := s.record(end)
+	s.end = end
 	s.mu.Unlock()
-	s.tracer.ended.Add(1)
-	s.tracer.export(rec)
+	if s.held != nil && s.held.end(s) {
+		return
+	}
+	s.tracer.finish(s)
 }
 
 // spanRecord is the NDJSON wire form of one ended span. Struct fields
@@ -264,15 +367,16 @@ type eventRecord struct {
 	Attrs    map[string]any `json:"attrs,omitempty"`
 }
 
-// record builds the export record; the caller holds s.mu.
-func (s *Span) record(end time.Time) spanRecord {
+// record builds the export record of an ended span, whose attrs and
+// events no longer change.
+func (s *Span) record() spanRecord {
 	rec := spanRecord{
 		Trace:  s.trace,
 		Span:   s.id,
 		Parent: s.parent,
 		Name:   s.name,
 		Start:  s.start.UTC().Format(time.RFC3339Nano),
-		DurMS:  float64(end.Sub(s.start)) / float64(time.Millisecond),
+		DurMS:  float64(s.end.Sub(s.start)) / float64(time.Millisecond),
 		Attrs:  attrMap(s.attrs),
 	}
 	for _, e := range s.events {
@@ -296,6 +400,12 @@ func attrMap(attrs []Attr) map[string]any {
 		m[a.Key] = a.Value
 	}
 	return m
+}
+
+// finish counts an ended span and exports it.
+func (t *Tracer) finish(s *Span) {
+	t.ended.Add(1)
+	t.export(s.record())
 }
 
 // export marshals and writes one span line.

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -205,5 +207,134 @@ func TestDetachKeepsObsValuesDropsCancellation(t *testing.T) {
 	}
 	if rec.Trace != "req-detach" || rec.Parent == 0 {
 		t.Errorf("detached child span trace=%q parent=%d; want the request trace and a non-root parent", rec.Trace, rec.Parent)
+	}
+}
+
+// heldItem traces one fan-out item the way a suite kernel does: an item
+// span over a run of leaf spans, each with an event.
+func heldItem(ctx context.Context, i int) {
+	ctx, item := Start(ctx, "item", Int("i", i))
+	defer item.End()
+	for j := 0; j < 3; j++ {
+		func() {
+			_, leaf := Start(ctx, "leaf", Int("j", j))
+			defer leaf.End()
+			leaf.Event("retry", Int("attempt", j))
+		}()
+	}
+	item.SetAttr(Bool("done", true))
+}
+
+// shapes returns the exported lines without their wall-clock fields
+// (start, dur_ms, offset_ms): what must not depend on scheduling.
+func shapes(t *testing.T, buf *bytes.Buffer) []string {
+	t.Helper()
+	var out []string
+	for _, rec := range parseLines(t, buf) {
+		delete(rec, "start")
+		delete(rec, "dur_ms")
+		events, _ := rec["events"].([]any)
+		for _, e := range events {
+			delete(e.(map[string]any), "offset_ms")
+		}
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(line))
+	}
+	return out
+}
+
+// TestHeldReleaseOrder is the held-export contract: items traced
+// concurrently under their own Holds, here forced to run in reverse
+// order, and released in item order export exactly the lines of the
+// same items traced one after another.
+func TestHeldReleaseOrder(t *testing.T) {
+	const items = 6
+	run := func(held bool) []string {
+		var buf bytes.Buffer
+		tr := NewTracer(&buf)
+		ctx, root := Start(WithTracer(context.Background(), tr), "suite")
+		if held {
+			holds := make([]*Held, items)
+			done := make([]chan struct{}, items+1)
+			for i := range done {
+				done[i] = make(chan struct{})
+			}
+			close(done[items])
+			var wg sync.WaitGroup
+			for i := range holds {
+				var hctx context.Context
+				hctx, holds[i] = Hold(ctx)
+				wg.Add(1)
+				go func(i int, hctx context.Context) {
+					defer wg.Done()
+					<-done[i+1]
+					heldItem(hctx, i)
+					close(done[i])
+				}(i, hctx)
+			}
+			wg.Wait()
+			if st := tr.Stats(); st.Started != 1+4*items || st.Ended != 0 {
+				t.Errorf("before Release: stats = %+v, want %d started and nothing exported", st, 1+4*items)
+			}
+			for _, h := range holds {
+				h.Release()
+			}
+		} else {
+			for i := 0; i < items; i++ {
+				heldItem(ctx, i)
+			}
+		}
+		root.End()
+		if st := tr.Stats(); st.Started != st.Ended || st.Events != 3*items {
+			t.Errorf("held=%v: stats = %+v, want Started == Ended", held, st)
+		}
+		return shapes(t, &buf)
+	}
+	serial, held := run(false), run(true)
+	if got, want := strings.Join(held, "\n"), strings.Join(serial, "\n"); got != want {
+		t.Errorf("held export differs from the serial trace:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestHeldEdges(t *testing.T) {
+	// Without a tracer there is nothing to hold: ctx comes back as is,
+	// and Release on the nil Held does nothing.
+	bare := context.Background()
+	if ctx, h := Hold(bare); ctx != bare || h != nil {
+		t.Errorf("Hold without tracer = (%v, %v), want (ctx, nil)", ctx, h)
+	}
+	var nilHeld *Held
+	nilHeld.Release()
+
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	ctx, h := Hold(WithRequestID(WithTracer(context.Background(), tr), "req-held"))
+	_, early := Start(ctx, "early")
+	early.End()
+	_, late := Start(ctx, "late")
+	if early.ID() != 0 || buf.Len() != 0 {
+		t.Fatalf("held span numbered or exported before Release (id %d, %d bytes)", early.ID(), buf.Len())
+	}
+	h.Release()
+	h.Release()
+	if early.ID() != 1 || late.ID() != 2 || early.TraceID() != "req-held" {
+		t.Errorf("after Release: ids %d, %d, trace %q; want 1, 2 in start order under the request trace",
+			early.ID(), late.ID(), early.TraceID())
+	}
+	late.End() // ends after Release, so it exports as it ends
+	_, after := Start(ctx, "after")
+	after.End()
+	var names []any
+	for _, rec := range parseLines(t, &buf) {
+		names = append(names, rec["name"], rec["span"])
+	}
+	if want := []any{"early", 1.0, "late", 2.0, "after", 3.0}; !reflect.DeepEqual(names, want) {
+		t.Errorf("exported (name, span) = %v, want %v", names, want)
+	}
+	if st := tr.Stats(); st.Started != 3 || st.Ended != 3 {
+		t.Errorf("stats = %+v, want 3 started and 3 ended", st)
 	}
 }

@@ -1,10 +1,10 @@
 // Package pool is the one bounded-worker-pool implementation the
 // engine's fan-out layers share. The experiment drivers fan out over
-// the twelve platforms, the microbenchmark suite fans out over its
-// kernels within one platform, and archlined's /v1/batch endpoint fans
-// out over request items — all three run CPU-bound, seeded-deterministic
-// work whose outputs must not depend on scheduling, so they all use the
-// same order-stable Map and the same worker-count policy.
+// the twelve platforms; microbench.Run and microbench.RunRobustContext
+// fan out over one platform's suite kernels; fit.Bootstrap fans out over
+// its replicate fits. All of them run seeded-deterministic work whose
+// outputs must not depend on scheduling, so they all use the same
+// order-stable Map and the same worker-count policy.
 //
 // Worker-count policy (Clamp, the single source of truth — the layers
 // must not reimplement it):

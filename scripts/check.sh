@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the full pre-merge gate, run by `make check`.
 # Checks that every tracked Go file is gofmt-formatted, builds
-# everything, vets, runs the race-enabled test suite, vets and tests the
+# everything, vets, runs the race-enabled test suite and a ten-fold race
+# storm over the concurrent robust suite, vets and tests the
 # benchmark module (_perfbench, which ./... skips), then runs the
 # in-repo static-analysis suite (cmd/archlint) over every package — all
 # eight analyzers, dimcheck included, plus stale-suppression detection;
@@ -19,6 +20,9 @@ fi
 go build ./...
 go vet ./...
 go test -race ./...
+# Race storm over the robust suite's kernel pool, its serialized Sleep
+# and the held span export.
+go test -race -count=10 ./internal/microbench/ ./internal/obs/ ./internal/cli/
 go -C _perfbench vet ./...
 go -C _perfbench test ./...
 go run ./cmd/archlint ./...

@@ -4,9 +4,9 @@
 # Same gate as scripts/check.sh but with test caching disabled
 # (GOFLAGS=-count=1) so every run re-executes the suite, and with a
 # per-analyzer summary of archlint findings (total and suppressed) on
-# stderr. Exits nonzero if gofmt, the build, vet, the tests (the
-# _perfbench module's included), the short fuzz run, or any
-# unsuppressed archlint finding fails.
+# stderr. Exits nonzero if gofmt, the build, vet, the tests (the race
+# storm and the _perfbench module's included), the short fuzz run, or
+# any unsuppressed archlint finding fails.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,6 +30,12 @@ go vet ./...
 
 echo "ci: go test -race"
 go test -race ./...
+
+echo "ci: race storm"
+# The robust suite's kernel pool, its serialized Sleep and the held span
+# export, repeated: a scheduling-dependent answer or trace, or an
+# unsynchronized access, has ten chances to show.
+go test -race -count=10 ./internal/microbench/ ./internal/obs/ ./internal/cli/
 
 echo "ci: _perfbench vet + test"
 # _perfbench is its own module, so ./... skips it; building it here
