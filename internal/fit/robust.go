@@ -2,7 +2,6 @@ package fit
 
 import (
 	"math"
-	"sort"
 
 	"archline/internal/microbench"
 	"archline/internal/model"
@@ -10,6 +9,7 @@ import (
 	// observation slice the fitters consume.
 	tele "archline/internal/obs"
 	"archline/internal/powermon"
+	"archline/internal/stats"
 	"archline/internal/units"
 )
 
@@ -71,8 +71,7 @@ func diagnose(rs []float64) diagnostics {
 		abs[i] = math.Abs(r)
 		sumSq += r * r
 	}
-	sort.Float64s(abs)
-	scale := madScale * abs[len(abs)/2]
+	scale := madScale * stats.Select(abs, len(abs)/2)
 	var d diagnostics
 	d.scale = scale
 	d.rms = math.Sqrt(sumSq / float64(len(rs)))

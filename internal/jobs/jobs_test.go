@@ -185,7 +185,10 @@ func TestQueueFullSheds(t *testing.T) {
 	e := New(Config{Workers: 1, QueueDepth: 1})
 	defer e.Close(context.Background())
 	release := make(chan struct{})
-	started := make(chan struct{})
+	// One slot, so the running job's signal is kept even when its
+	// goroutine reaches the send before the test reaches <-started;
+	// unbuffered, the send would drop and the receive block forever.
+	started := make(chan struct{}, 1)
 	block := func(ctx context.Context, p *Progress) (any, error) {
 		select {
 		case started <- struct{}{}:

@@ -307,3 +307,22 @@ func TestRunRobustCancelMidSuite(t *testing.T) {
 		t.Errorf("%d of %d repeats were measured after the cancel", n, all)
 	}
 }
+
+// BenchmarkRunRobust times the measurement stage of a fit job on one
+// platform: the paper-profile robust suite, sanitized, on one worker,
+// with each retry's backoff recorded instead of slept.
+func BenchmarkRunRobust(b *testing.B) {
+	plat := machine.MustByID(machine.GTXTitan)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	rc := RobustConfig{Sleep: func(time.Duration) {}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		// A fresh injector per iteration: it carries each label's
+		// disconnect countdown from one recording to the next.
+		opts := robustOpts(faults.New(faults.Paper(), 7))
+		if _, _, err := RunRobust(plat, cfg, opts, rc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

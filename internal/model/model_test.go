@@ -500,6 +500,36 @@ func TestQuickScaleSpeedsUp(t *testing.T) {
 	}
 }
 
+// Property: T and E are homogeneous of degree 1 in (W, Q), capped and
+// uncapped, so average power is of degree 0. Scaling by c = 2^j only
+// moves exponents, which commutes with rounding, so the identities hold
+// bit for bit.
+func TestQuickHomogeneity(t *testing.T) {
+	f := func(a, b, c, d, wi, qi float64, ji int8) bool {
+		p := randomParams(a, b, c, d)
+		w := units.Flops(1 + 1e9*math.Abs(finMod(wi, 1)))
+		q := units.Bytes(1 + 1e9*math.Abs(finMod(qi, 1)))
+		k := math.Ldexp(1, int(ji)%17) // 2^j, j in [-16, 16]
+		kw, kq := units.Flops(k*w.Count()), units.Bytes(k*q.Count())
+		for _, pair := range [][2]float64{
+			{p.Time(kw, kq).Seconds(), k * p.Time(w, q).Seconds()},
+			{p.TimeUncapped(kw, kq).Seconds(), k * p.TimeUncapped(w, q).Seconds()},
+			{p.Energy(kw, kq).Joules(), k * p.Energy(w, q).Joules()},
+			{p.EnergyUncapped(kw, kq).Joules(), k * p.EnergyUncapped(w, q).Joules()},
+			{p.AvgPower(kw, kq).Watts(), p.AvgPower(w, q).Watts()},
+		} {
+			//archlint:ignore floatcmp power-of-two scaling is exact, so any difference is a formula that is not homogeneous
+			if pair[0] != pair[1] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: regime classification agrees with which term of eq. (3)
 // actually dominates.
 func TestQuickRegimeConsistency(t *testing.T) {

@@ -45,6 +45,10 @@ var (
 	ErrBadReference    = fmt.Errorf("powermon: reference power must be positive: %w", ErrPermanent)
 	ErrEmptyTrace      = fmt.Errorf("powermon: empty trace: %w", ErrPermanent)
 	ErrMalformedTrace  = fmt.Errorf("powermon: malformed trace row: %w", ErrPermanent)
+	// ErrTraceTooLong reports a run that would record more than
+	// maxTraceSamples per channel, or a non-finite sample count.
+	ErrTraceTooLong = fmt.Errorf("powermon: recording exceeds %d samples per channel: %w",
+		maxTraceSamples, ErrPermanent)
 )
 
 // IsTransient reports whether err is a fault a retry may clear.

@@ -160,10 +160,18 @@ func (t *Trace) SampleCount() int {
 	return n
 }
 
+// maxTraceSamples bounds one channel's recording. The longest built-in
+// suite trace is 5,759 samples per channel (pandaboard's sweep-dp-255
+// at the 256-point sweep maximum), so the bound leaves 45x headroom
+// while capping a channel's samples at 6 MiB.
+const maxTraceSamples = 1 << 18
+
 // Record measures a run: it samples the signal on every channel at the
 // effective rate for the given duration. Each channel sees its share of
 // the device power at its nominal voltage, perturbed by calibration gain
-// and per-sample noise. rng may be nil for noiseless recording.
+// and per-sample noise. rng may be nil for noiseless recording. A run
+// that would take more than maxTraceSamples per channel fails with
+// ErrTraceTooLong.
 func (m *Meter) Record(sig Signal, duration units.Time, rng *stats.Stream) (*Trace, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -174,8 +182,14 @@ func (m *Meter) Record(sig Signal, duration units.Time, rng *stats.Stream) (*Tra
 	if sig == nil {
 		return nil, ErrNilSignal
 	}
-	rate := m.EffectiveRate()
-	n := int(duration.Seconds() * rate)
+	// Bound the sample count while it is still a float: a platform's
+	// rates can stretch a run without limit, and int() of a huge or
+	// infinite count would wrap.
+	fn := duration.Seconds() * m.EffectiveRate()
+	if !(fn <= maxTraceSamples) {
+		return nil, ErrTraceTooLong
+	}
+	n := int(fn)
 	if n < 1 {
 		n = 1 // a very short run still yields one sample per channel
 	}

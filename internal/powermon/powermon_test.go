@@ -2,6 +2,7 @@ package powermon
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -165,6 +166,31 @@ func TestRecordErrors(t *testing.T) {
 	bad := &Meter{SampleRate: 1024}
 	if _, err := bad.Record(Constant(1), 1, nil); err == nil {
 		t.Error("invalid meter should error")
+	}
+}
+
+// TestRecordRejectsOverlongRuns pins the per-channel sample bound: the
+// longest admissible run records, and a longer or infinite one fails
+// permanently before anything is allocated for it.
+func TestRecordRejectsOverlongRuns(t *testing.T) {
+	m := MobileBoardMeter()
+	rate := m.EffectiveRate()
+	tr, err := m.Record(Constant(1), units.Time(maxTraceSamples/rate), nil)
+	if err != nil {
+		t.Fatalf("run at the bound: %v", err)
+	}
+	if got := tr.SampleCount(); got != maxTraceSamples {
+		t.Errorf("run at the bound recorded %d samples, want %d", got, maxTraceSamples)
+	}
+	for _, d := range []units.Time{
+		units.Time((maxTraceSamples + 1) / rate),
+		units.Time(1e30),
+		units.Time(math.Inf(1)),
+	} {
+		_, err := m.Record(Constant(1), d, nil)
+		if !errors.Is(err, ErrTraceTooLong) || IsTransient(err) {
+			t.Errorf("Record(%v s) = %v, want permanent ErrTraceTooLong", d.Seconds(), err)
+		}
 	}
 }
 

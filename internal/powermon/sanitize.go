@@ -3,8 +3,8 @@ package powermon
 import (
 	"fmt"
 	"math"
-	"sort"
 
+	"archline/internal/stats"
 	"archline/internal/units"
 )
 
@@ -138,20 +138,19 @@ func (t *Trace) Sanitize() Quality {
 	return q
 }
 
-// medianMAD returns the median and the median absolute deviation of xs.
+// medianMAD returns the upper median of xs, the element at index n/2
+// once sorted (not stats.Median's interpolation between the middle
+// two), and the median absolute deviation about it, taken the same way.
 func medianMAD(xs []float64) (med, mad float64) {
 	if len(xs) == 0 {
 		return 0, 0
 	}
 	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	med = s[len(s)/2]
-	dev := make([]float64, len(s))
+	med = stats.Select(s, len(s)/2)
 	for i, x := range s {
-		dev[i] = math.Abs(x - med)
+		s[i] = math.Abs(x - med)
 	}
-	sort.Float64s(dev)
-	return med, dev[len(dev)/2]
+	return med, stats.Select(s, len(s)/2)
 }
 
 // despike replaces samples whose instantaneous power sits beyond
@@ -257,8 +256,7 @@ func fillGaps(ss []Sample) (int, []Sample) {
 	for i := 1; i < len(ss); i++ {
 		dts = append(dts, (ss[i].T - ss[i-1].T).Seconds())
 	}
-	sort.Float64s(dts)
-	dtMed := dts[len(dts)/2]
+	dtMed := stats.Select(dts, len(dts)/2)
 	if dtMed <= 0 {
 		return 0, ss
 	}

@@ -148,3 +148,43 @@ func TestTransientClassification(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSanitize times the sanitization pass of the refit pipeline
+// on a 3-rail PCIe GPU recording that carries each pathology the pass
+// repairs on every rail: a dropped-sample gap, spikes and a latched
+// run. The pass repairs in place, so each iteration sanitizes a fresh
+// copy made outside the timer.
+func BenchmarkSanitize(b *testing.B) {
+	tr, err := PCIeGPUMeter().Record(Constant(200), 4, stats.NewStream(1, "bench-sanitize"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for c := range tr.Channels {
+		ss := tr.Channels[c].Samples
+		for _, i := range []int{17, 101, 102, 2500} {
+			ss[i].I *= 12
+		}
+		for i := 1000; i < 1100; i++ {
+			ss[i] = Sample{T: ss[i].T, V: ss[1000].V, I: ss[1000].I * 0.4}
+		}
+		tr.Channels[c].Samples = append(ss[:3000:3000], ss[3030:]...)
+	}
+	fresh := func() *Trace {
+		cp := &Trace{Duration: tr.Duration, Channels: make([]ChannelTrace, len(tr.Channels))}
+		for c, ch := range tr.Channels {
+			cp.Channels[c] = ChannelTrace{Channel: ch.Channel, Samples: append([]Sample(nil), ch.Samples...)}
+		}
+		return cp
+	}
+	if q := fresh().Sanitize(); q.GapsFilled == 0 || q.SpikesRemoved == 0 || q.StuckRepaired == 0 {
+		b.Fatalf("corrupted recording does not exercise every repair: %v", q)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		work := fresh()
+		b.StartTimer()
+		work.Sanitize()
+	}
+}

@@ -15,6 +15,7 @@ import (
 
 	"archline/internal/jobs"
 	"archline/internal/machine"
+	"archline/internal/powermon"
 )
 
 // postFit submits a fit request with an explicit X-Request-Id and
@@ -235,6 +236,46 @@ func TestFitJobEndToEnd(t *testing.T) {
 	// the exact-counter guarantees of the sync endpoints stay intact.
 	if n := s.ModelEvals(); n != 0 {
 		t.Errorf("fit job incremented model evals to %d", n)
+	}
+}
+
+// TestFitJobOverlongRecordingFails submits a client platform whose
+// rates stretch its kernels' runs past the meter's per-channel sample
+// bound. The job must fail with the bound's error and the daemon keep
+// serving: allocating such a trace panics on a pool worker, which
+// nothing recovers, and takes the whole process down.
+func TestFitJobOverlongRecordingFails(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	raw, err := machine.Canonical(machine.MustByID(machine.GTXTitan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plat map[string]any
+	if err := json.Unmarshal(raw, &plat); err != nil {
+		t.Fatal(err)
+	}
+	plat["id"], plat["name"] = "slow-titan", "slow-titan"
+	plat["sustained_single_gflops"], plat["sustained_double_gflops"] = 1e-12, 1e-12
+	body, err := json.Marshal(map[string]any{"platform": plat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, resp := post(t, ts.URL+"/v1/fit", string(body))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status = %d: %s", status, resp)
+	}
+	id, _ := decode(t, resp)["id"].(string)
+	final := pollJob(t, ts.URL, id, time.Minute)
+	if final["state"] != "failed" {
+		t.Fatalf("job state = %v, want failed (error %v)", final["state"], final["error"])
+	}
+	if msg, _ := final["error"].(string); !strings.Contains(msg, powermon.ErrTraceTooLong.Error()) {
+		t.Errorf("job error %q does not carry %q", msg, powermon.ErrTraceTooLong)
+	}
+	for _, path := range []string{"/healthz", "/v1/platforms"} {
+		if status, resp := get(t, ts.URL+path); status != http.StatusOK {
+			t.Errorf("GET %s after the failed job = %d: %s", path, status, resp)
+		}
 	}
 }
 

@@ -3,8 +3,9 @@
 #
 # Runs the perf-trajectory benchmarks (the parallel suite driver, the
 # batch-vs-sequential HTTP comparison, the streaming sweep, the gzip
-# level table, and the microbench hot-path benches), then converts the
-# text output to a stable JSON document via scripts/benchjson.
+# level table, the microbench hot-path benches, and the refit path's
+# robust suite and sanitization pass), then converts the text output to
+# a stable JSON document via scripts/benchjson.
 #
 # Usage:
 #   scripts/bench.sh [out.json]        # default out: BENCH_engine.json
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 out=${1:-BENCH_engine.json}
 benchtime=${BENCHTIME:-2x}
 count=${BENCHCOUNT:-1}
-pattern='^(BenchmarkSuiteRun|BenchmarkRunWorkers|BenchmarkResultFilters|BenchmarkBatchVsSequential|BenchmarkSweepStream|BenchmarkGzipLevels|BenchmarkMapDispatch)$'
+pattern='^(BenchmarkSuiteRun|BenchmarkRunWorkers|BenchmarkRunRobust|BenchmarkResultFilters|BenchmarkSanitize|BenchmarkBatchVsSequential|BenchmarkSweepStream|BenchmarkGzipLevels|BenchmarkMapDispatch)$'
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp" "$tmp.prev"' EXIT
@@ -35,7 +36,7 @@ fi
 echo "bench: go test -bench (benchtime=$benchtime, count=$count)"
 go test -run '^$' -bench "$pattern" -benchmem \
     -benchtime "$benchtime" -count "$count" \
-    . ./internal/microbench/ ./internal/server/ ./internal/pool/ | tee "$tmp"
+    . ./internal/microbench/ ./internal/powermon/ ./internal/server/ ./internal/pool/ | tee "$tmp"
 
 # $prevflag expands to zero or two words by design.
 # shellcheck disable=SC2086

@@ -5,7 +5,7 @@
 # (GOFLAGS=-count=1) so every run re-executes the suite, and with a
 # per-analyzer summary of archlint findings (total and suppressed) on
 # stderr. Exits nonzero if gofmt, the build, vet, the tests (the race
-# storm and the _perfbench module's included), the short fuzz run, or
+# storm and the _perfbench module's included), the short fuzz runs, or
 # any unsuppressed archlint finding fails.
 set -eu
 
@@ -44,10 +44,12 @@ go -C _perfbench vet ./...
 go -C _perfbench test ./...
 
 echo "ci: fuzz"
-# A short differential run of the NDJSON chunk encoder against
-# encoding/json; a failing input is written under
-# internal/server/testdata/fuzz/ and then replays in every go test run.
+# Short differential runs: the NDJSON chunk encoder against
+# encoding/json, and stats.Select against sort-then-index. A failing
+# input is written under the package's testdata/fuzz/ and then replays
+# in every go test run.
 go test -run '^$' -fuzz '^FuzzStreamChunk$' -fuzztime 10s ./internal/server/
+go test -run '^$' -fuzz '^FuzzSelect$' -fuzztime 10s ./internal/stats/
 
 echo "ci: archlint"
 go run ./cmd/archlint -summary ./...
