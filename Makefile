@@ -24,12 +24,15 @@ lint:
 	$(GO) run ./cmd/archlint ./...
 
 ## check is the full pre-merge gate (scripts/check.sh): gofmt, build,
-## vet, race tests (plus a ten-fold race storm on microbench, obs and
-## cli), the _perfbench module's vet and tests, and lint.
+## vet, race tests (the archlined SIGTERM-drain and SIGKILL-recovery
+## drills included, plus a ten-fold race storm on microbench, obs and
+## cli), the _perfbench module's vet and tests, and lint with a
+## per-analyzer summary.
 check:
 	./scripts/check.sh
 
-## ci is check with caching disabled and a per-analyzer lint summary.
+## ci is check with caching disabled, then short fuzz runs, a
+## one-iteration bench pass with the bench gate, and a 2 s load gate.
 ci:
 	./scripts/ci.sh
 

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -60,6 +61,10 @@ func TestRunDeterministicStream(t *testing.T) {
 	}
 	if rep1.P99Ms <= 0 {
 		t.Error("no latency quantiles computed")
+	}
+	// The report is archloadgen's -json output, which scripts parse.
+	if raw, err := json.Marshal(rep1); err != nil || !strings.Contains(string(raw), `"requests":60,`) {
+		t.Errorf("JSON report %s (%v) does not carry the request count", raw, err)
 	}
 }
 

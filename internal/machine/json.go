@@ -116,13 +116,11 @@ func (pj *platformJSON) validate() error {
 	if _, ok := classNames[pj.Class]; !ok {
 		return fmt.Errorf("machine: unknown class %q (want desktop|mini|mobile|coprocessor)", pj.Class)
 	}
-	if pj.CacheLine <= 0 {
-		return errors.New("machine: cache_line_bytes must be positive")
-	}
 	// Every numeric quantity is physically non-negative; the must-have
 	// rates are strictly positive (model.Params.Validate re-checks the
 	// derived parameters, but catching the raw field gives the uploader
-	// an error naming their own JSON key).
+	// an error naming their own JSON key). Each is also at most
+	// maxQuantity, so the stored platform encodes back to itself.
 	type fieldCheck struct {
 		name     string
 		v        float64
@@ -144,6 +142,7 @@ func (pj *platformJSON) validate() error {
 		{"eps_rand_nj_per_access", pj.RandEpsNJ, false},
 		{"rand_macc_per_s", pj.RandMaccs, false},
 		{"process_nm", float64(pj.ProcessNM), false},
+		{"cache_line_bytes", float64(pj.CacheLine), true},
 		{"l1_size_bytes", float64(pj.L1SizeBytes), false},
 		{"l2_size_bytes", float64(pj.L2SizeBytes), false},
 	}
@@ -167,9 +166,17 @@ func (pj *platformJSON) validate() error {
 		if c.positive && c.v == 0 {
 			return fmt.Errorf("machine: %s must be > 0", c.name)
 		}
+		if c.v > maxQuantity {
+			return fmt.Errorf("machine: %s is out of range (%v > 2^53)", c.name, c.v)
+		}
 	}
 	return nil
 }
+
+// maxQuantity bounds every numeric field. Integers up to 2^53 survive
+// the float64 units they are stored in, and no unit conversion (at most
+// ×1e9) overflows a value this size to an infinity ToJSON cannot write.
+const maxQuantity = 1 << 53
 
 // FromJSON decodes a platform description under the strict validator:
 // unknown fields, trailing JSON documents, non-finite or negative
@@ -184,10 +191,15 @@ func FromJSON(r io.Reader) (*Platform, error) {
 	if err := dec.Decode(&pj); err != nil {
 		return nil, fmt.Errorf("machine: decoding platform: %w", err)
 	}
-	// A second document (or trailing garbage) after the description is
-	// someone concatenating files or truncation corruption; either way
-	// the description's boundary is ambiguous, so reject it.
-	if dec.More() {
+	// A second document, a stray '}' or ']', or other trailing garbage
+	// after the description is someone concatenating files or truncation
+	// corruption; either way the description's boundary is ambiguous, so
+	// reject it. Only a clean end of input passes, and a read error is
+	// wrapped so a body past its size limit still reports as one.
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err != nil {
+			return nil, fmt.Errorf("machine: after the platform description: %w", err)
+		}
 		return nil, errors.New("machine: trailing data after the platform description")
 	}
 	if err := pj.validate(); err != nil {
@@ -247,7 +259,9 @@ func FromJSON(r io.Reader) (*Platform, error) {
 	return p, nil
 }
 
-// ToJSON encodes a platform in the same format FromJSON reads.
+// ToJSON encodes a platform in the same format FromJSON reads. Every
+// unit-converted quantity is written as the value FromJSON converts back
+// to the stored bits (see unscale), so FromJSON(ToJSON(p)) reproduces p.
 func ToJSON(w io.Writer, p *Platform) error {
 	if p == nil {
 		return errors.New("machine: nil platform")
@@ -262,19 +276,19 @@ func ToJSON(w io.Writer, p *Platform) error {
 		Class:     className,
 		IsGPU:     p.IsGPU,
 
-		VendorSingleGflops: p.Vendor.Single.FlopsPerSec() / 1e9,
-		VendorDoubleGflops: p.Vendor.Double.FlopsPerSec() / 1e9,
-		VendorMemGBs:       p.Vendor.MemBW.BytesPerSec() / 1e9,
+		VendorSingleGflops: unscale(p.Vendor.Single.FlopsPerSec(), 1e9),
+		VendorDoubleGflops: unscale(p.Vendor.Double.FlopsPerSec(), 1e9),
+		VendorMemGBs:       unscale(p.Vendor.MemBW.BytesPerSec(), 1e9),
 
 		IdleW: p.IdlePower.Watts(),
 
-		SustainedSingleGflops: p.Sustained.SingleRate.FlopsPerSec() / 1e9,
-		SustainedDoubleGflops: p.Sustained.DoubleRate.FlopsPerSec() / 1e9,
-		SustainedMemGBs:       p.Sustained.MemBW.BytesPerSec() / 1e9,
+		SustainedSingleGflops: unscale(p.Sustained.SingleRate.FlopsPerSec(), 1e9),
+		SustainedDoubleGflops: unscale(p.Sustained.DoubleRate.FlopsPerSec(), 1e9),
+		SustainedMemGBs:       unscale(p.Sustained.MemBW.BytesPerSec(), 1e9),
 
-		EpsSPJ:    p.Single.EpsFlop.JoulesPerFlop() * 1e12,
-		EpsDPJ:    p.DoubleEps.JoulesPerFlop() * 1e12,
-		EpsMemPJ:  p.Single.EpsMem.JoulesPerByte() * 1e12,
+		EpsSPJ:    unscale(p.Single.EpsFlop.JoulesPerFlop(), 1e-12),
+		EpsDPJ:    unscale(p.DoubleEps.JoulesPerFlop(), 1e-12),
+		EpsMemPJ:  unscale(p.Single.EpsMem.JoulesPerByte(), 1e-12),
 		Pi1W:      p.Single.Pi1.Watts(),
 		DeltaPiW:  p.Single.DeltaPi.Watts(),
 		CacheLine: int(p.CacheLine),
@@ -282,19 +296,41 @@ func ToJSON(w io.Writer, p *Platform) error {
 		L1SizeBytes: int64(p.L1Size),
 		L2SizeBytes: int64(p.L2Size),
 	}
+	// A level's tau is 1/bandwidth, which no decimal inverts exactly;
+	// the sustained bandwidth it was built from does.
 	if p.L1 != nil {
-		pj.L1 = &levelJSON{EpsPJ: p.L1.Eps.JoulesPerByte() * 1e12, BWGBs: 1e-9 / float64(p.L1.Tau)}
+		pj.L1 = &levelJSON{EpsPJ: unscale(p.L1.Eps.JoulesPerByte(), 1e-12),
+			BWGBs: unscale(p.Sustained.L1BW.BytesPerSec(), 1e9)}
 	}
 	if p.L2 != nil {
-		pj.L2 = &levelJSON{EpsPJ: p.L2.Eps.JoulesPerByte() * 1e12, BWGBs: 1e-9 / float64(p.L2.Tau)}
+		pj.L2 = &levelJSON{EpsPJ: unscale(p.L2.Eps.JoulesPerByte(), 1e-12),
+			BWGBs: unscale(p.Sustained.L2BW.BytesPerSec(), 1e9)}
 	}
 	if p.Rand != nil {
-		pj.RandEpsNJ = p.Rand.Eps.JoulesPerAccess() * 1e9
-		pj.RandMaccs = p.Rand.Rate.AccessesPerSec() / 1e6
+		pj.RandEpsNJ = unscale(p.Rand.Eps.JoulesPerAccess(), 1e-9)
+		pj.RandMaccs = unscale(p.Rand.Rate.AccessesPerSec(), 1e6)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(pj)
+}
+
+// unscale returns the JSON value v whose forward conversion v*scale (a
+// units constructor in FromJSON) gives stored back exactly. The rounded
+// quotient stored/scale often decodes to a neighbouring float instead.
+// A preimage lies within an ulp or two of the quotient; with none (a
+// stored value no conversion produced), the quotient is the answer.
+func unscale(stored, scale float64) float64 {
+	q := stored / scale
+	for _, dir := range [2]float64{math.Inf(1), math.Inf(-1)} {
+		for v, n := q, 0; n < 3; v, n = math.Nextafter(v, dir), n+1 {
+			//archlint:ignore floatcmp the exact preimage is the point: FromJSON must rebuild the same bits
+			if v*scale == stored {
+				return v
+			}
+		}
+	}
+	return q
 }
 
 // Canonical returns the platform's deterministic compact JSON encoding:

@@ -2,9 +2,13 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"archline/internal/stats"
 )
 
 func TestJSONRoundTripAllPlatforms(t *testing.T) {
@@ -115,6 +119,12 @@ func TestFromJSONErrors(t *testing.T) {
 			"sustained_single_gflops":10,"sustained_mem_gbs":10,
 			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1}
 			{"second":"doc"}`,
+		"trailing brace": `{"id":"x","name":"y","class":"mini","cache_line_bytes":64,
+			"sustained_single_gflops":10,"sustained_mem_gbs":10,
+			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1}}`,
+		"trailing bracket": `{"id":"x","name":"y","class":"mini","cache_line_bytes":64,
+			"sustained_single_gflops":10,"sustained_mem_gbs":10,
+			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1} ]`,
 		"negative energy": `{"id":"x","name":"y","class":"mini","cache_line_bytes":64,
 			"sustained_single_gflops":10,"sustained_mem_gbs":10,
 			"eps_s_pj_per_flop":-10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1}`,
@@ -123,6 +133,12 @@ func TestFromJSONErrors(t *testing.T) {
 			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1}`,
 		"overflowing float": `{"id":"x","name":"y","class":"mini","cache_line_bytes":64,
 			"sustained_single_gflops":1e999,"sustained_mem_gbs":10,
+			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1}`,
+		"overflowing vendor rate": `{"id":"x","name":"y","class":"mini","cache_line_bytes":64,
+			"vendor_single_gflops":1e300,"sustained_single_gflops":10,"sustained_mem_gbs":10,
+			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1}`,
+		"l1 size past float64 integers": `{"id":"x","name":"y","class":"mini","cache_line_bytes":64,
+			"sustained_single_gflops":10,"sustained_mem_gbs":10,"l1_size_bytes":9223372036854775807,
 			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1}`,
 		"zero l1 bandwidth": `{"id":"x","name":"y","class":"mini","cache_line_bytes":64,
 			"sustained_single_gflops":10,"sustained_mem_gbs":10,
@@ -171,33 +187,89 @@ func TestValidID(t *testing.T) {
 }
 
 // TestCanonicalDeterministic pins the property the registry's content
-// hashes rely on: decoding the same description bytes always
-// canonicalizes to identical bytes, so one uploaded document maps to
-// exactly one content hash. (A decode→encode round trip is not an exact
-// float fixed point on every platform; the registry therefore hashes
-// the canonical bytes it stored at upload time, never a re-encoding.)
+// hashes rely on: canonical bytes are a fixed point. Decoding them and
+// canonicalizing again gives the same bytes (the same content hash,
+// the same ETag), however often a description passes through an
+// upload, a GET and a restart.
 func TestCanonicalDeterministic(t *testing.T) {
 	for _, p := range All() {
 		src, err := Canonical(p)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		var outs [][]byte
-		for i := 0; i < 2; i++ {
-			back, err := FromJSON(bytes.NewReader(src))
-			if err != nil {
-				t.Fatalf("%s: decode canonical: %v", p.Name, err)
-			}
-			c, err := Canonical(back)
-			if err != nil {
-				t.Fatalf("%s: %v", p.Name, err)
-			}
-			outs = append(outs, c)
+		back, err := FromJSON(bytes.NewReader(src))
+		if err != nil {
+			t.Fatalf("%s: decode canonical: %v", p.Name, err)
 		}
-		if !bytes.Equal(outs[0], outs[1]) {
-			t.Errorf("%s: same input bytes canonicalized differently", p.Name)
+		c, err := Canonical(back)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if !bytes.Equal(c, src) {
+			t.Errorf("%s: canonical form changed on a round trip:\n%s\n%s", p.Name, src, c)
 		}
 	}
+}
+
+// checkRoundTrip asserts that p survives an encode and decode field for
+// field, and that its canonical bytes are a fixed point.
+func checkRoundTrip(t *testing.T, p *Platform) {
+	t.Helper()
+	src, err := Canonical(p)
+	if err != nil {
+		t.Fatalf("%s: canonical: %v", p.ID, err)
+	}
+	back, err := FromJSON(bytes.NewReader(src))
+	if err != nil || !reflect.DeepEqual(back, p) {
+		t.Fatalf("%s: round trip through %s: %v\n got %+v\nwant %+v", p.ID, src, err, back, p)
+	}
+	if again, err := Canonical(back); err != nil || !bytes.Equal(again, src) {
+		t.Fatalf("%s: canonical form changed on a round trip (%v):\n%s\n%s", p.ID, err, src, again)
+	}
+}
+
+// TestCanonicalRoundTripRandomBodies holds seeded random descriptions,
+// full-precision values in Table I's units with every optional field
+// set on every other one, to checkRoundTrip. An encoder that divides by
+// the unit scale changed 48% of them.
+func TestCanonicalRoundTripRandomBodies(t *testing.T) {
+	rng := stats.NewStream(289, "machine/roundtrip")
+	v := func() float64 { return rng.Float64() * math.Pow(10, float64(rng.Intn(7)-2)) }
+	for i := 0; i < 2000; i++ {
+		body := fmt.Sprintf(`{"id":"rt-%d","name":"y","class":"mini","cache_line_bytes":64,
+			"vendor_single_gflops":%v,"vendor_mem_gbs":%v,"idle_w":%v,"sustained_single_gflops":%v,
+			"sustained_mem_gbs":%v,"eps_s_pj_per_flop":%v,"eps_mem_pj_per_byte":%v,"pi1_w":%v,"delta_pi_w":%v`,
+			i, v(), v(), v(), v(), v(), v(), v(), v(), v())
+		if i%2 == 1 {
+			l1 := v()
+			body += fmt.Sprintf(`,"vendor_double_gflops":%v,"sustained_double_gflops":%v,"eps_d_pj_per_flop":%v,
+				"l1":{"eps_pj_per_byte":%v,"bw_gbs":%v},"l2":{"eps_pj_per_byte":%v,"bw_gbs":%v},
+				"eps_rand_nj_per_access":%v,"rand_macc_per_s":%v,"l1_size_bytes":32768,"l2_size_bytes":262144`,
+				v(), v(), v(), l1, v(), l1+v(), v(), v(), v())
+		}
+		p, err := FromJSON(strings.NewReader(body + "}"))
+		if err != nil {
+			t.Fatalf("%s}: %v", body, err)
+		}
+		checkRoundTrip(t, p)
+	}
+}
+
+// FuzzPlatformRoundTrip holds every description FromJSON accepts to
+// checkRoundTrip and requires it to be rejected with a stray '}' after
+// it. Seeds: the built-ins' canonical forms, a drifting body, and one
+// with every optional field set.
+func FuzzPlatformRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		p, err := FromJSON(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		checkRoundTrip(t, p)
+		if _, err := FromJSON(bytes.NewReader(append(body[:len(body):len(body)], '}'))); err == nil {
+			t.Fatalf("accepted %q with a trailing '}'", body)
+		}
+	})
 }
 
 // TestToJSONDeterministic guards the encoder against map-iteration-order

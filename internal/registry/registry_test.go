@@ -361,11 +361,17 @@ func TestRecoveryQuarantinesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	plantBlob(t, dir, shadow)
+	// (e) The good blob again, well hashed, with a stray '}' after it.
+	good, err := os.ReadFile(filepath.Join(dir, "blobs", r.shardFor("good").blobs["good"]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plantBlob(t, dir, append(good, '}'))
 
 	r2 := mustOpen(t, dir)
 	stats := r2.Recovery()
-	if stats.Quarantined != 4 || stats.Loaded != 1 {
-		t.Fatalf("Recovery() = %+v, want Quarantined=4 Loaded=1", stats)
+	if stats.Quarantined != 5 || stats.Loaded != 1 {
+		t.Fatalf("Recovery() = %+v, want Quarantined=5 Loaded=1", stats)
 	}
 	if _, err := r2.Get("good"); err != nil {
 		t.Errorf("healthy platform lost during quarantine sweep: %v", err)
@@ -394,11 +400,11 @@ func TestRecoveryQuarantinesCorruption(t *testing.T) {
 			blobs++
 		}
 	}
-	if blobs != 4 || reasons != 4 {
-		t.Errorf("quarantine holds %d blobs / %d reasons, want 4 / 4", blobs, reasons)
+	if blobs != 5 || reasons != 5 {
+		t.Errorf("quarantine holds %d blobs / %d reasons, want 5 / 5", blobs, reasons)
 	}
-	if st := r2.Stats(); st.Quarantined != 4 {
-		t.Errorf("Stats().Quarantined = %d, want 4", st.Quarantined)
+	if st := r2.Stats(); st.Quarantined != 5 {
+		t.Errorf("Stats().Quarantined = %d, want 5", st.Quarantined)
 	}
 }
 

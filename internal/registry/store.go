@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -230,7 +231,7 @@ func verifyBlob(name string, data []byte, env *envelope, validate func(*envelope
 	if err := dec.Decode(env); err != nil {
 		return "envelope does not parse: " + err.Error()
 	}
-	if dec.More() {
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
 		return "trailing data after envelope"
 	}
 	if env.Format != envelopeFormat {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -123,21 +124,41 @@ func TestHammerMixedEndpoints(t *testing.T) {
 					t.Errorf("client %d: status %d", slot, resp.StatusCode)
 				}
 			}
-			// Interleave metrics scrapes with the sweeps.
+			// Interleave metrics scrapes with the sweeps; each one, taken
+			// mid-load, must still be well-formed exposition.
 			resp, err := http.Get(ts.URL + "/metrics")
 			if err != nil {
 				t.Errorf("client %d metrics: %v", slot, err)
 				return
 			}
-			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			body, err := io.ReadAll(resp.Body)
+			if err != nil {
 				t.Errorf("client %d metrics: %v", slot, err)
 			}
 			resp.Body.Close()
+			checkExpositionLines(t, string(body))
 		}(i)
 	}
 	wg.Wait()
 	if got := s.Metrics().Requests(); got < clients*5 {
 		t.Errorf("requests recorded = %d, want >= %d", got, clients*5)
+	}
+}
+
+// checkExpositionLines requires every line of a /metrics body to be a
+// comment or a `name{labels} value` sample whose value parses as a
+// float: the contract scrapers rely on.
+func checkExpositionLines(t *testing.T, expo string) {
+	t.Helper()
+	for n, line := range strings.Split(strings.TrimRight(expo, "\n"), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, value, _ := strings.Cut(line, " ")
+		if _, err := strconv.ParseFloat(value, 64); err != nil || name == "" ||
+			(strings.Contains(name, "{") && !strings.HasSuffix(name, "}")) {
+			t.Errorf("metrics line %d is not `name{labels} value`: %q", n+1, line)
+		}
 	}
 }
 

@@ -409,6 +409,9 @@ func TestJobCancelRunningPromptly(t *testing.T) {
 	if status != http.StatusOK || decode(t, body)["state"] != "canceled" {
 		t.Errorf("re-cancel: status %d body %s", status, body)
 	}
+	if _, expo := get(t, ts.URL+"/metrics"); !strings.Contains(string(expo), `archlined_jobs_finished_total{state="canceled"} 1`) {
+		t.Error("/metrics does not count the canceled job")
+	}
 }
 
 // TestJobEventsStreamFollowsLive subscribes while the job is running

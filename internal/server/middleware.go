@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -310,23 +311,27 @@ func writeError(w http.ResponseWriter, aerr *apiError) {
 
 // decodeBody strictly decodes a JSON request body into dst, translating
 // size-limit and deadline failures into their structured statuses.
+// Only a clean end of body may follow the document: a second document,
+// a stray '}' or ']', and bytes past the size limit are all refused.
 func (s *Server) decodeBody(r *http.Request, dst any) *apiError {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var maxErr *http.MaxBytesError
-		switch {
-		case errors.As(err, &maxErr):
-			return errTooLarge(maxErr.Limit)
-		case errors.Is(err, context.DeadlineExceeded):
-			return errTimeout()
-		default:
-			return errBadRequest("malformed JSON body: %v", err)
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, err = dec.Token(); errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err == nil {
+			return errBadRequest("request body holds more than one JSON document")
 		}
 	}
-	// Reject trailing garbage after the JSON document.
-	if dec.More() {
-		return errBadRequest("request body holds more than one JSON document")
+	var maxErr *http.MaxBytesError
+	switch {
+	case errors.As(err, &maxErr):
+		return errTooLarge(maxErr.Limit)
+	case errors.Is(err, context.DeadlineExceeded):
+		return errTimeout()
+	default:
+		return errBadRequest("malformed JSON body: %v", err)
 	}
-	return nil
 }

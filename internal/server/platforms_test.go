@@ -12,13 +12,15 @@ import (
 )
 
 // platformBody renders a minimal valid platform description whose model
-// outputs are a pure function of the sustained-gflops knob.
+// outputs are a pure function of the sustained-gflops knob. Its
+// eps_mem has no exact decimal image after the pJ-to-J conversion: an
+// encoder that divides by the scale serves a neighbouring value.
 func platformBody(id string, gflops float64) string {
 	return fmt.Sprintf(`{
 		"id": %q, "name": "Upload %s", "class": "mini", "cache_line_bytes": 64,
 		"vendor_single_gflops": %g, "vendor_mem_gbs": 20, "idle_w": 3,
 		"sustained_single_gflops": %g, "sustained_mem_gbs": 10,
-		"eps_s_pj_per_flop": 40, "eps_mem_pj_per_byte": 300,
+		"eps_s_pj_per_flop": 40, "eps_mem_pj_per_byte": 115.30538922155688,
 		"pi1_w": 2, "delta_pi_w": 4
 	}`, id, id, gflops*1.25, gflops)
 }
@@ -135,6 +137,11 @@ func TestPlatformUploadErrors(t *testing.T) {
 
 	status, body := post(t, ts.URL+"/v1/platforms", `{"id": "x"}`)
 	wantError(t, status, body, http.StatusBadRequest, "bad_request")
+	status, body = post(t, ts.URL+"/v1/platforms", platformBody("dev-board", 8)+"}")
+	wantError(t, status, body, http.StatusBadRequest, "bad_request")
+	status, body = post(t, ts.URL+"/v1/platforms",
+		platformBody("dev-board", 8)+strings.Repeat(" ", 2*DefaultMaxBodyBytes))
+	wantError(t, status, body, http.StatusRequestEntityTooLarge, "body_too_large")
 
 	// Built-in Table I entries are read-only, for uploads and deletes.
 	status, body = post(t, ts.URL+"/v1/platforms", platformBody("arndale-cpu", 8))
@@ -199,22 +206,32 @@ func TestPlatformReuploadInvalidatesCache(t *testing.T) {
 
 func TestPlatformPersistsAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
+	const query = `{"platform_id": "dev-board", "w_flops": 1e12, "q_bytes": 3e12}`
 	_, ts := newTestServer(t, Config{DataDir: dir})
 	_, body := post(t, ts.URL+"/v1/platforms", platformBody("dev-board", 8))
 	etag, _ := decode(t, body)["etag"].(string)
+	_, before := post(t, ts.URL+"/v1/query", query)
+
+	// The served description is the platform itself: uploading it back
+	// changes nothing.
+	_, got := get(t, ts.URL+"/v1/platforms/dev-board")
+	_, body = post(t, ts.URL+"/v1/platforms", string(got))
+	if ack := decode(t, body); ack["outcome"] != "unchanged" || ack["version"] != float64(1) {
+		t.Errorf("re-uploading the GET body: %v, want unchanged at version 1", ack)
+	}
 	ts.Close()
 
 	// A second daemon over the same data directory recovers the upload
-	// with the identical version and content hash.
+	// with the identical version and content hash, and the same answer.
 	_, ts2 := newTestServer(t, Config{DataDir: dir})
 	resp, _ := doReq(t, http.MethodGet, ts2.URL+"/v1/platforms/dev-board", "", nil)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != etag {
 		t.Fatalf("after restart: status %d, etag %q want %q",
 			resp.StatusCode, resp.Header.Get("ETag"), etag)
 	}
-	status, qbody := post(t, ts2.URL+"/v1/query", `{"platform_id": "dev-board", "intensity": 1000}`)
-	if status != http.StatusOK {
-		t.Fatalf("query after restart: %d %s", status, qbody)
+	status, after := post(t, ts2.URL+"/v1/query", query)
+	if status != http.StatusOK || !bytes.Equal(after, before) {
+		t.Fatalf("query after restart: %d\n%s\nbefore the restart:\n%s", status, after, before)
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 // Liveness (/healthz) and observability (/metrics) are exempt from all
 // three: an operator must be able to see a struggling daemon.
 
-// Resilience defaults.
+// Resilience settings. The in-flight ceiling is a default
+// (Config.MaxInFlight); the breaker's four are fixed.
 const (
 	// DefaultMaxInFlight is the in-flight request ceiling beyond which
 	// /v1 traffic is shed.
@@ -94,11 +95,7 @@ func (s breakerState) String() string {
 // 5xx rate in a rolling window and fails fast while open. The clock is
 // injectable so tests never wait out a real cooldown.
 type circuitBreaker struct {
-	window     time.Duration
-	errRate    float64
-	minSamples int
-	cooldown   time.Duration
-	now        func() time.Time
+	now func() time.Time
 
 	mu          sync.Mutex
 	state       breakerState
@@ -110,27 +107,11 @@ type circuitBreaker struct {
 	opens       int64
 }
 
-func newCircuitBreaker(window time.Duration, errRate float64, minSamples int,
-	cooldown time.Duration, now func() time.Time) *circuitBreaker {
-	if window <= 0 {
-		window = DefaultBreakerWindow
-	}
-	if errRate <= 0 || errRate > 1 {
-		errRate = DefaultBreakerErrRate
-	}
-	if minSamples <= 0 {
-		minSamples = DefaultBreakerMinSamples
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
+func newCircuitBreaker(now func() time.Time) *circuitBreaker {
 	if now == nil {
 		now = time.Now
 	}
-	return &circuitBreaker{
-		window: window, errRate: errRate, minSamples: minSamples,
-		cooldown: cooldown, now: now,
-	}
+	return &circuitBreaker{now: now}
 }
 
 // allow decides whether a /v1 request may proceed. When the breaker is
@@ -144,12 +125,12 @@ func (b *circuitBreaker) allow() (ok bool, retryAfter time.Duration) {
 		return true, 0
 	case breakerHalfOpen:
 		if b.probing {
-			return false, b.cooldown
+			return false, DefaultBreakerCooldown
 		}
 		b.probing = true
 		return true, 0
 	default: // open
-		remaining := b.cooldown - b.now().Sub(b.openedAt)
+		remaining := DefaultBreakerCooldown - b.now().Sub(b.openedAt)
 		if remaining > 0 {
 			return false, remaining
 		}
@@ -184,7 +165,7 @@ func (b *circuitBreaker) record(serverFailure bool) (opened bool) {
 	if b.state == breakerOpen {
 		return false // rejected traffic never reaches here; stray results ignored
 	}
-	if b.windowStart.IsZero() || now.Sub(b.windowStart) > b.window {
+	if b.windowStart.IsZero() || now.Sub(b.windowStart) > DefaultBreakerWindow {
 		b.windowStart = now
 		b.successes, b.failures = 0, 0
 	}
@@ -194,7 +175,7 @@ func (b *circuitBreaker) record(serverFailure bool) (opened bool) {
 		b.successes++
 	}
 	total := b.successes + b.failures
-	if total >= b.minSamples && float64(b.failures)/float64(total) >= b.errRate {
+	if total >= DefaultBreakerMinSamples && float64(b.failures)/float64(total) >= DefaultBreakerErrRate {
 		b.state = breakerOpen
 		b.openedAt = now
 		b.opens++

@@ -119,19 +119,19 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 
 func TestCircuitBreakerUnit(t *testing.T) {
 	clock := newFakeClock()
-	b := newCircuitBreaker(10*time.Second, 0.5, 4, 2*time.Second, clock.now)
+	b := newCircuitBreaker(clock.now)
 
 	// Below the sample floor nothing trips, even at 100% errors.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < DefaultBreakerMinSamples-1; i++ {
 		b.record(true)
 	}
 	if ok, _ := b.allow(); !ok {
 		t.Fatal("breaker tripped below the sample floor")
 	}
-	b.record(true) // 4th failure: 4/4 >= 0.5 with min samples met
+	b.record(true) // the floor's failure: 100% >= the error rate with min samples met
 	if ok, retry := b.allow(); ok {
 		t.Fatal("breaker did not open at 100% errors")
-	} else if retry <= 0 || retry > 2*time.Second {
+	} else if retry <= 0 || retry > DefaultBreakerCooldown {
 		t.Errorf("open retry-after = %v", retry)
 	}
 	if st, opens := b.snapshot(); st != breakerOpen || opens != 1 {
@@ -173,7 +173,7 @@ func TestCircuitBreakerUnit(t *testing.T) {
 // chaos 500s open it, open responses are 503 + Retry-After in the
 // envelope, and after the cooldown a healthy probe closes it again.
 func TestBreakerEndToEnd(t *testing.T) {
-	s := New(Config{BreakerMinSamples: 4, BreakerErrRate: 0.5, BreakerCooldown: 2 * time.Second})
+	s := New(Config{})
 	clock := newFakeClock()
 	s.breaker.now = clock.now
 	// Force every /v1 request to fail, deterministically.
@@ -182,7 +182,7 @@ func TestBreakerEndToEnd(t *testing.T) {
 	defer ts.Close()
 
 	url := ts.URL + "/v1/platforms"
-	for i := 0; i < 4; i++ {
+	for i := 0; i < DefaultBreakerMinSamples; i++ {
 		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
@@ -216,8 +216,8 @@ func TestBreakerEndToEnd(t *testing.T) {
 	if !strings.Contains(s.metrics.Render(), "archlined_breaker_state 2") {
 		t.Error("metrics do not show the breaker open")
 	}
-	if s.Metrics().ChaosInjected() != 4 {
-		t.Errorf("chaos injected = %d, want 4", s.Metrics().ChaosInjected())
+	if got := s.Metrics().ChaosInjected(); got != DefaultBreakerMinSamples {
+		t.Errorf("chaos injected = %d, want %d", got, DefaultBreakerMinSamples)
 	}
 
 	// Recovery: stop the chaos, let the cooldown pass, and the single
@@ -234,6 +234,44 @@ func TestBreakerEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(s.metrics.Render(), "archlined_breaker_state 0") {
 		t.Error("metrics do not show the breaker closed after recovery")
+	}
+}
+
+// TestChaosDegradationContract drives 200 roofline GETs at a server
+// running the paper chaos profile and holds it to graceful degradation:
+// every failure carries the JSON error envelope with its HTTP status,
+// every 429 and 503 carries Retry-After, liveness and /metrics stay up,
+// and the run sees both successes and injected failures.
+func TestChaosDegradationContract(t *testing.T) {
+	s, ts := newTestServer(t, Config{ChaosProfile: "paper", ChaosSeed: 42, MaxInFlight: 64})
+	oks := 0
+	for i := 0; i < 200; i++ {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/platforms/gtx-titan/roofline?points=%d", ts.URL, 5+i%13))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode == http.StatusOK {
+			oks++
+			continue
+		}
+		if e, _ := decode(t, body)["error"].(map[string]any); e["code"] == nil || e["status"] != float64(resp.StatusCode) {
+			t.Fatalf("request %d: status %d without a matching error envelope: %s", i, resp.StatusCode, body)
+		}
+		if (resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable) &&
+			resp.Header.Get("Retry-After") == "" {
+			t.Errorf("request %d: %d without Retry-After", i, resp.StatusCode)
+		}
+	}
+	if oks == 0 || oks == 200 {
+		t.Errorf("%d of 200 requests succeeded, want some successes and some failures", oks)
+	}
+	if status, body := get(t, ts.URL+"/healthz"); status != http.StatusOK {
+		t.Errorf("healthz under chaos: %d %s", status, body)
+	}
+	want := fmt.Sprintf("archlined_chaos_injected_total %d", s.Metrics().ChaosInjected())
+	if status, expo := get(t, ts.URL+"/metrics"); status != http.StatusOK || !strings.Contains(string(expo), want) {
+		t.Errorf("metrics under chaos: status %d, missing %q", status, want)
 	}
 }
 

@@ -64,13 +64,6 @@ type Config struct {
 	// answers 429 + Retry-After. Zero means DefaultMaxInFlight;
 	// negative disables shedding.
 	MaxInFlight int
-	// BreakerWindow, BreakerErrRate, BreakerMinSamples, and
-	// BreakerCooldown tune the /v1 circuit breaker; zero fields take
-	// the resilience defaults.
-	BreakerWindow     time.Duration
-	BreakerErrRate    float64
-	BreakerMinSamples int
-	BreakerCooldown   time.Duration
 	// ChaosProfile, when set to a fault-profile name ("paper",
 	// "harsh"), turns on the chaos middleware: seeded synthetic 500s
 	// and latency spikes on /v1 routes. Never enabled implicitly; ""
@@ -172,8 +165,7 @@ func New(cfg Config) *Server {
 		cache:   newLRUCache(cfg.CacheEntries),
 		flights: newFlightGroup(),
 		metrics: NewMetrics(),
-		breaker: newCircuitBreaker(cfg.BreakerWindow, cfg.BreakerErrRate,
-			cfg.BreakerMinSamples, cfg.BreakerCooldown, nil),
+		breaker: newCircuitBreaker(nil),
 		jobs: jobs.New(jobs.Config{
 			Workers:    cfg.JobWorkers,
 			QueueDepth: cfg.JobQueueDepth,
@@ -320,7 +312,7 @@ func (s *Server) cachedJSON(key string, compute func() (any, *apiError)) (*cache
 // wires SIGINT/SIGTERM into ctx), then shuts down gracefully, draining
 // in-flight requests for at most cfg.DrainTimeout. The bound address is
 // printed to stdout as "archlined listening on http://<addr>" so callers
-// (and the CI smoke test) can use port 0.
+// can use port 0.
 func (s *Server) Run(ctx context.Context, stdout, stderr io.Writer) error {
 	if s.initErr != nil {
 		return fmt.Errorf("server: %w", s.initErr)

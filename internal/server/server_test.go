@@ -129,6 +129,15 @@ func TestRoofline(t *testing.T) {
 	if m["cap_binds"] != true {
 		t.Error("gtx-titan cap_binds should be true")
 	}
+	for i, p := range points {
+		pt, _ := p.(map[string]any)
+		iv, _ := pt["intensity"].(float64)
+		rate, _ := pt["flops_per_sec"].(float64)
+		power, _ := pt["avg_power_w"].(float64)
+		if regime, _ := pt["regime"].(string); !(iv > 0 && rate > 0 && power > 0) || regime == "" {
+			t.Errorf("degenerate point %d: %v", i, pt)
+		}
+	}
 	first := points[0].(map[string]any)
 	if first["regime"] != "M" {
 		t.Errorf("regime at I=0.25 = %v, want M (memory-bound)", first["regime"])
@@ -232,6 +241,10 @@ func TestQueryErrors(t *testing.T) {
 		{"malformed", `{"platform_id": `, http.StatusBadRequest, "bad_request"},
 		{"unknown field", `{"platform_id": "gtx-titan", "wflops": 1}`, http.StatusBadRequest, "bad_request"},
 		{"trailing garbage", `{"platform_id": "gtx-titan", "intensity": 1} {}`, http.StatusBadRequest, "bad_request"},
+		{"trailing garbage brace", `{"platform_id": "gtx-titan", "intensity": 1}}`, http.StatusBadRequest, "bad_request"},
+		{"trailing garbage bracket", `{"platform_id": "gtx-titan", "intensity": 1}]`, http.StatusBadRequest, "bad_request"},
+		{"trailing garbage past the limit", `{"platform_id": "gtx-titan", "intensity": 1}` +
+			strings.Repeat(" ", 2*DefaultMaxBodyBytes) + "x", http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"unknown platform", `{"platform_id": "cray-1", "intensity": 1}`, http.StatusNotFound, "not_found"},
 		{"no mode", `{"platform_id": "gtx-titan"}`, http.StatusBadRequest, "bad_request"},
 		{"both modes", `{"platform_id": "gtx-titan", "intensity": 1, "w_flops": 1, "q_bytes": 1}`,
@@ -388,6 +401,12 @@ func TestCacheDeterminism(t *testing.T) {
 	}
 	if h := s.Metrics().CacheHits(); h != 1 {
 		t.Errorf("cache hits = %d, want 1", h)
+	}
+	// The hit still counts against its platform: the per-platform
+	// series sits above the response cache.
+	if expo := s.Metrics().Render(); !strings.Contains(expo, `archlined_platform_queries_total{platform="arndale-gpu"} 2`) ||
+		!strings.Contains(expo, "archlined_distinct_platforms_queried 1") {
+		t.Errorf("per-platform series do not count the cache hit:\n%s", expo)
 	}
 
 	// POST bodies with different formatting canonicalize to one entry.

@@ -1,12 +1,12 @@
 #!/bin/sh
-# check.sh — the full pre-merge gate, run by `make check`.
+# check.sh — the full pre-merge gate, run by `make check` and ci.sh.
 # Checks that every tracked Go file is gofmt-formatted, builds
-# everything, vets, runs the race-enabled test suite and a ten-fold race
-# storm over the concurrent robust suite, vets and tests the
-# benchmark module (_perfbench, which ./... skips), then runs the
-# in-repo static-analysis suite (cmd/archlint) over every package — all
-# eight analyzers, dimcheck included, plus stale-suppression detection;
-# any unsuppressed finding fails the gate.
+# everything, vets, runs the race-enabled test suite (the daemon drills
+# included) and a ten-fold race storm over the concurrent robust suite,
+# vets and tests the benchmark module (_perfbench, which ./... skips),
+# then runs the in-repo static-analysis suite (cmd/archlint) over every
+# package — all eight analyzers plus stale-suppression detection, with
+# a per-analyzer summary; any unsuppressed finding fails the gate.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,5 +25,5 @@ go test -race ./...
 go test -race -count=10 ./internal/microbench/ ./internal/obs/ ./internal/cli/
 go -C _perfbench vet ./...
 go -C _perfbench test ./...
-go run ./cmd/archlint ./...
+go run ./cmd/archlint -summary ./...
 echo "check: OK"
