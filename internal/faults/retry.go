@@ -83,28 +83,25 @@ func (b Backoff) Delay(attempt int, rng *stats.Stream) time.Duration {
 	return time.Duration(d)
 }
 
-// Retry runs op until it succeeds, fails permanently, or the attempt
-// budget is exhausted. Only transient errors (powermon.IsTransient) are
-// retried; anything else returns immediately. sleep receives each
-// backoff delay — pass time.Sleep in production and a recording stub in
-// tests so no test ever blocks on a real clock. It returns the number
-// of retries performed and the final error (nil on success; the last
-// transient error wrapped with context if the budget runs out).
-func Retry(b Backoff, sleep func(time.Duration), rng *stats.Stream, op func() error) (retries int, err error) {
-	return RetryNotify(b, sleep, rng, nil, op)
-}
-
-// RetryNotify is Retry with an observer: notify (when non-nil) runs
-// before each backoff sleep with the failed attempt number (1-based),
-// the delay about to be taken, and the transient error being retried.
-// Callers use it to emit retry events onto a span without the retry
-// loop knowing anything about tracing.
+// RetryNotify runs op until it succeeds, fails permanently, or the
+// attempt budget is exhausted. Only transient errors
+// (powermon.IsTransient) are retried; anything else returns
+// immediately. After each transient failure it computes the jittered
+// backoff delay and hands it to notify (when non-nil) with the failed
+// attempt number (1-based) and the error being retried, then to sleep
+// (when non-nil). Callers use notify to emit retry events onto a span
+// without the retry loop knowing anything about tracing.
+//
+// A nil sleep means no wait: the delay is reported but lives on the
+// simulated clock. The injector's disconnect episode ends after
+// Profile.DisconnectBurst failed attempts, not after any wall time, so
+// waiting the delay out would only stretch the run. Tests pass a
+// recording stub. It returns the number of retries performed and the
+// final error (nil on success; the last transient error wrapped with
+// context if the budget runs out).
 func RetryNotify(b Backoff, sleep func(time.Duration), rng *stats.Stream,
 	notify func(attempt int, delay time.Duration, err error), op func() error) (retries int, err error) {
 	b = b.withDefaults()
-	if sleep == nil {
-		sleep = time.Sleep
-	}
 	for attempt := 1; ; attempt++ {
 		err = op()
 		if err == nil || !powermon.IsTransient(err) {
@@ -117,7 +114,9 @@ func RetryNotify(b Backoff, sleep func(time.Duration), rng *stats.Stream,
 		if notify != nil {
 			notify(attempt, delay, err)
 		}
-		sleep(delay)
+		if sleep != nil {
+			sleep(delay)
+		}
 		retries++
 	}
 }

@@ -17,7 +17,7 @@ func (c *fakeClock) sleep(d time.Duration) { c.slept = append(c.slept, d) }
 func TestRetrySucceedsAfterTransients(t *testing.T) {
 	clock := &fakeClock{}
 	calls := 0
-	retries, err := Retry(Backoff{}, clock.sleep, stats.NewStream(42, "retry"), func() error {
+	retries, err := RetryNotify(Backoff{}, clock.sleep, stats.NewStream(42, "retry"), nil, func() error {
 		calls++
 		if calls < 3 {
 			return powermon.ErrDisconnect
@@ -25,7 +25,7 @@ func TestRetrySucceedsAfterTransients(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("Retry: %v", err)
+		t.Fatalf("RetryNotify: %v", err)
 	}
 	if retries != 2 || calls != 3 {
 		t.Errorf("retries = %d, calls = %d; want 2, 3", retries, calls)
@@ -55,7 +55,7 @@ func pow(f float64, k int) float64 {
 func TestRetryPermanentErrorNotRetried(t *testing.T) {
 	clock := &fakeClock{}
 	calls := 0
-	retries, err := Retry(Backoff{}, clock.sleep, nil, func() error {
+	retries, err := RetryNotify(Backoff{}, clock.sleep, nil, nil, func() error {
 		calls++
 		return powermon.ErrNoChannels
 	})
@@ -70,7 +70,7 @@ func TestRetryPermanentErrorNotRetried(t *testing.T) {
 func TestRetryBudgetExhausted(t *testing.T) {
 	clock := &fakeClock{}
 	b := Backoff{Attempts: 3}
-	retries, err := Retry(b, clock.sleep, nil, func() error { return powermon.ErrDisconnect })
+	retries, err := RetryNotify(b, clock.sleep, nil, nil, func() error { return powermon.ErrDisconnect })
 	if !errors.Is(err, powermon.ErrDisconnect) {
 		t.Errorf("exhausted err = %v, want wrapped ErrDisconnect", err)
 	}
@@ -119,8 +119,36 @@ func TestJitterDeterministicUnderSeededStream(t *testing.T) {
 
 func TestRetryNeverSleepsOnSuccess(t *testing.T) {
 	clock := &fakeClock{}
-	retries, err := Retry(Backoff{}, clock.sleep, nil, func() error { return nil })
+	retries, err := RetryNotify(Backoff{}, clock.sleep, nil, nil, func() error { return nil })
 	if err != nil || retries != 0 || len(clock.slept) != 0 {
 		t.Errorf("success path slept: retries=%d sleeps=%d err=%v", retries, len(clock.slept), err)
+	}
+}
+
+// TestRetryNilSleepDoesNotWait pins the simulated clock: with no sleep
+// the delays are still computed and reported, but none is waited out,
+// so an hour-long schedule returns at once.
+func TestRetryNilSleepDoesNotWait(t *testing.T) {
+	b := Backoff{Base: time.Hour, Max: time.Hour, Jitter: -1}
+	var delays []time.Duration
+	calls := 0
+	start := time.Now()
+	retries, err := RetryNotify(b, nil, nil,
+		func(_ int, d time.Duration, _ error) { delays = append(delays, d) },
+		func() error {
+			calls++
+			if calls < 3 {
+				return powermon.ErrDisconnect
+			}
+			return nil
+		})
+	if err != nil || retries != 2 {
+		t.Fatalf("retries = %d, err = %v; want 2, nil", retries, err)
+	}
+	if len(delays) != 2 || delays[0] != time.Hour || delays[1] != time.Hour {
+		t.Errorf("reported delays = %v, want [1h 1h]", delays)
+	}
+	if d := time.Since(start); d > time.Minute {
+		t.Errorf("nil sleep waited %v", d)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"math"
 	"sort"
 
+	"archline/internal/pool"
 	"archline/internal/stats"
 )
 
@@ -52,7 +53,8 @@ type NMResult struct {
 	Iters int       // iterations used
 }
 
-// NelderMead minimizes f starting from x0.
+// NelderMead minimizes f starting from x0, which it copies and never
+// writes to.
 func NelderMead(f Objective, x0 []float64, opts NMOptions) (NMResult, error) {
 	if f == nil {
 		return NMResult{}, errors.New("fit: nil objective")
@@ -191,11 +193,15 @@ func NelderMead(f Objective, x0 []float64, opts NMOptions) (NMResult, error) {
 // MultiStart runs NelderMead from x0 and from `restarts` log-normally
 // perturbed copies, returning the best result. It is the defence against
 // the capped objective's local minima.
+//
+// The perturbed starts are all drawn first, from one seeded stream, and
+// the 1+restarts minimizations then fan out on the shared pool, so f
+// must be safe for concurrent use (a pure function of x, as every
+// objective in this package is). The reduction runs in start order and
+// keeps the earlier start on a tie, so the result and error are those
+// of running the starts one after another.
 func MultiStart(f Objective, x0 []float64, restarts int, spread float64, seed uint64, opts NMOptions) (NMResult, error) {
-	best, err := NelderMead(f, x0, opts)
-	if err != nil {
-		return NMResult{}, err
-	}
+	starts := [][]float64{x0}
 	rng := stats.NewStream(seed, "multistart")
 	for r := 0; r < restarts; r++ {
 		x := make([]float64, len(x0))
@@ -206,10 +212,16 @@ func MultiStart(f Objective, x0 []float64, restarts int, spread float64, seed ui
 				x[j] = x0[j] + spread*math.Abs(x0[j])*rng.NormFloat64()
 			}
 		}
-		res, err := NelderMead(f, x, opts)
-		if err != nil {
-			return NMResult{}, err
-		}
+		starts = append(starts, x)
+	}
+	results, errs := pool.Map(starts, 0, func(_ int, x []float64) (NMResult, error) {
+		return NelderMead(f, x, opts)
+	})
+	if _, err := pool.FirstError(errs); err != nil {
+		return NMResult{}, err
+	}
+	best := results[0]
+	for _, res := range results[1:] {
 		if res.F < best.F {
 			best = res
 		}

@@ -3,7 +3,6 @@ package fit
 import (
 	"math"
 	"testing"
-	"time"
 
 	"archline/internal/faults"
 	"archline/internal/machine"
@@ -15,17 +14,15 @@ import (
 	"archline/internal/units"
 )
 
-func noSleep(time.Duration) {}
-
 // runRobustSuite runs the fault-hardened pipeline under an injector.
-func runRobustSuite(t *testing.T, inj *faults.Injector, seed uint64) *microbench.Result {
-	t.Helper()
+func runRobustSuite(tb testing.TB, inj *faults.Injector, seed uint64) *microbench.Result {
+	tb.Helper()
 	res, _, err := microbench.RunRobust(machine.MustByID(machine.GTXTitan),
 		microbench.DefaultConfig(),
 		sim.Options{Seed: seed, Faults: inj, Sanitize: true},
-		microbench.RobustConfig{Sleep: noSleep})
+		microbench.RobustConfig{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return res
 }
@@ -190,6 +187,20 @@ func TestRobustRefitOnSyntheticContamination(t *testing.T) {
 	} {
 		if re := relErr(c.got, c.want); re > 0.05 {
 			t.Errorf("robust %s = %v, truth %v (rel err %.3f)", c.name, c.got, c.want, re)
+		}
+	}
+}
+
+// BenchmarkFitPlatform times the fit stage of a fit job: Platform on
+// one paper-profile gtx-titan suite result, measured before the timer
+// starts.
+func BenchmarkFitPlatform(b *testing.B) {
+	res := runRobustSuite(b, faults.New(faults.Paper(), 7), 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Platform(res, Options{Seed: 2}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -23,14 +23,15 @@ type RobustConfig struct {
 	Repeats int
 	// Backoff schedules retries of transient measurement errors.
 	Backoff faults.Backoff
-	// Sleep receives each backoff delay. Nil means a timer that also
-	// wakes when the suite's context is canceled; it runs in every
-	// worker at once, so the kernels' retry waits overlap. A non-nil
-	// Sleep is never called concurrently: the runner serializes the
-	// calls, so a stub may record into plain variables, and it must
-	// return promptly because the other workers' retries queue behind
-	// it. Tests inject a recording stub so no retry ever blocks on a
-	// real clock.
+	// Sleep receives each backoff delay. Nil means no wait: the delay
+	// is kept on the simulated clock, as the fault.retry event's
+	// delay_s, because a simulated disconnect episode ends after a
+	// count of failed attempts, not after any wall time (see
+	// faults.RetryNotify). A non-nil Sleep is never called
+	// concurrently: the runner serializes the calls, so a stub may
+	// record into plain variables, and it must return promptly because
+	// the other workers' retries queue behind it. Tests and benchmarks
+	// record the waiting time through it.
 	Sleep func(time.Duration)
 }
 
@@ -85,34 +86,20 @@ func RunRobust(plat *machine.Platform, cfg Config, opts sim.Options, rc RobustCo
 //
 // Like Run, it measures the kernels concurrently on pool.Map
 // (Config.Workers; zero means NumCPU), so their CPU work spreads over
-// the cores and their retry waits overlap. One pool item is one
-// kernel: its repeats and their retries stay in order inside the item,
-// because the fault injector's per-label disconnect countdown and each
-// repeat's jitter stream follow that order. Every noise, fault and
-// jitter stream keys on (seed, platform, kernel, repeat), so the
-// Result and RobustStats are bit-identical at any worker count, and
-// each kernel's span subtree is held (obs.Hold) and released in suite
-// order, so the trace is too.
+// the cores. One pool item is one kernel: its repeats and their
+// retries stay in order inside the item, because the fault injector's
+// per-label disconnect countdown and each repeat's jitter stream
+// follow that order. Every noise, fault and jitter stream keys on
+// (seed, platform, kernel, repeat), so the Result and RobustStats are
+// bit-identical at any worker count, and each kernel's span subtree is
+// held (obs.Hold) and released in suite order, so the trace is too.
 func RunRobustContext(ctx context.Context, plat *machine.Platform, cfg Config,
 	opts sim.Options, rc RobustConfig) (*Result, *RobustStats, error) {
 	rc = rc.withDefaults()
-	if rc.Sleep == nil {
-		// Default retry backoff honours ctx: a canceled suite wakes
-		// early instead of sitting out the delay, and the next ctx.Err
-		// check aborts the run.
-		rc.Sleep = func(d time.Duration) {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-		}
-	} else {
+	if sleep := rc.Sleep; sleep != nil {
 		// Holding mu across the caller's Sleep is the point: the
 		// workers' retries take turns (see RobustConfig.Sleep).
 		var mu sync.Mutex
-		sleep := rc.Sleep
 		rc.Sleep = func(d time.Duration) {
 			mu.Lock()
 			defer mu.Unlock()

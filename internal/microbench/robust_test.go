@@ -310,18 +310,17 @@ func TestRunRobustCancelMidSuite(t *testing.T) {
 
 // BenchmarkRunRobust times the measurement stage of a fit job on one
 // platform: the paper-profile robust suite, sanitized, on one worker,
-// with each retry's backoff recorded instead of slept.
+// with each retry's backoff on the simulated clock.
 func BenchmarkRunRobust(b *testing.B) {
 	plat := machine.MustByID(machine.GTXTitan)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	rc := RobustConfig{Sleep: func(time.Duration) {}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		// A fresh injector per iteration: it carries each label's
 		// disconnect countdown from one recording to the next.
 		opts := robustOpts(faults.New(faults.Paper(), 7))
-		if _, _, err := RunRobust(plat, cfg, opts, rc); err != nil {
+		if _, _, err := RunRobust(plat, cfg, opts, RobustConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

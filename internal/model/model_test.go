@@ -557,3 +557,46 @@ func TestQuickRegimeConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// mantissa maps x's 52 mantissa bits onto [0, 1). testing/quick draws
+// float64s of magnitude ~1e307, which are whole numbers, so reducing
+// one mod 1 yields 0; its mantissa bits are what vary.
+func mantissa(x float64) float64 {
+	return float64(math.Float64bits(x)&(1<<52-1)) / (1 << 52)
+}
+
+// Property: a tighter cap is never faster. At cap fractions
+// 0 < f1 <= f2 <= 1, time and energy at f1 are no smaller, the flop
+// rate (Params and Kernel) no larger, and the average power respects
+// the tighter cap, pi_1 + f1*DeltaPi. Every step of these formulas is
+// a monotone IEEE operation on DeltaPi, so the order holds bit for bit.
+func TestQuickCapMonotone(t *testing.T) {
+	f := func(a, b, c, d, wi, ii, fa, fb float64) bool {
+		p := randomParams(mantissa(a), mantissa(b), mantissa(c), mantissa(d))
+		w := units.Flops(1 + 1e9*mantissa(wi))
+		i := units.Intensity(math.Exp(20*mantissa(ii) - 10))
+		q := i.Bytes(w)
+		f1, f2 := 1-mantissa(fa), 1-mantissa(fb)
+		if f1 > f2 {
+			f1, f2 = f2, f1
+		}
+		p1, err := p.WithCap(f1)
+		if err != nil {
+			return false
+		}
+		p2, err := p.WithCap(f2)
+		if err != nil {
+			return false
+		}
+		k1, k2 := NewKernel(p1), NewKernel(p2)
+		capW := (p.Pi1.Watts() + f1*p.DeltaPi.Watts()) * (1 + 1e-9)
+		return p1.Time(w, q) >= p2.Time(w, q) &&
+			p1.Energy(w, q) >= p2.Energy(w, q) &&
+			p1.FlopRateAt(i) <= p2.FlopRateAt(i) &&
+			k1.FlopRateAt(i.Ratio()) <= k2.FlopRateAt(i.Ratio()) &&
+			p1.AvgPower(w, q).Watts() <= capW
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}

@@ -2,9 +2,10 @@
 // engine's fan-out layers share. The experiment drivers fan out over
 // the twelve platforms; microbench.Run and microbench.RunRobustContext
 // fan out over one platform's suite kernels; fit.Bootstrap fans out over
-// its replicate fits. All of them run seeded-deterministic work whose
-// outputs must not depend on scheduling, so they all use the same
-// order-stable Map and the same worker-count policy.
+// its replicate fits and fit.MultiStart over its starts. All of them
+// run seeded-deterministic work whose outputs must not depend on
+// scheduling, so they all use the same order-stable Map and the same
+// worker-count policy.
 //
 // Worker-count policy (Clamp, the single source of truth — the layers
 // must not reimplement it):

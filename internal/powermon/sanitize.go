@@ -247,7 +247,8 @@ func unstick(ss []Sample) int {
 // fillGaps detects dropped-sample gaps by timestamp spacing and inserts
 // linearly interpolated samples so the mean-of-samples average power is
 // taken over a uniform grid again. It returns the number of samples
-// synthesized and the repaired series.
+// synthesized and the repaired series: ss itself when nothing is
+// missing, else a new slice of exactly the repaired length.
 func fillGaps(ss []Sample) (int, []Sample) {
 	if len(ss) < 3 {
 		return 0, ss
@@ -260,8 +261,18 @@ func fillGaps(ss []Sample) (int, []Sample) {
 	if dtMed <= 0 {
 		return 0, ss
 	}
-	out := make([]Sample, 0, len(ss))
+	// Select reordered dts, but the count of missing samples is a sum
+	// over the steps, which does not depend on their order.
 	filled := 0
+	for _, gap := range dts {
+		if gap > gapFactor*dtMed {
+			filled += int(math.Round(gap/dtMed)) - 1
+		}
+	}
+	if filled == 0 {
+		return 0, ss
+	}
+	out := make([]Sample, 0, len(ss)+filled)
 	out = append(out, ss[0])
 	for i := 1; i < len(ss); i++ {
 		gap := (ss[i].T - ss[i-1].T).Seconds()
@@ -274,7 +285,6 @@ func fillGaps(ss []Sample) (int, []Sample) {
 					V: ss[i-1].V + frac*(ss[i].V-ss[i-1].V),
 					I: ss[i-1].I + frac*(ss[i].I-ss[i-1].I),
 				})
-				filled++
 			}
 		}
 		out = append(out, ss[i])

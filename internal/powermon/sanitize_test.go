@@ -22,7 +22,11 @@ func recordClean(t *testing.T, p units.Power, d units.Time, seed uint64) *Trace 
 func TestSanitizeCleanTraceUntouched(t *testing.T) {
 	tr := recordClean(t, 40, 1, 1)
 	want := tr.AvgPower().Watts()
+	first := &tr.Channels[0].Samples[0]
 	q := tr.Sanitize()
+	if &tr.Channels[0].Samples[0] != first {
+		t.Error("sanitize copied a channel with no gap")
+	}
 	if q.Repairs() != 0 {
 		t.Errorf("clean trace repaired: %v", q)
 	}
@@ -101,6 +105,9 @@ func TestSanitizeFillsGaps(t *testing.T) {
 	}
 	if got := len(tr.Channels[0].Samples); got < n-2 || got > n+2 {
 		t.Errorf("post-repair samples = %d, want ~%d", got, n)
+	}
+	if got := tr.Channels[0].Samples; cap(got) != len(got) {
+		t.Errorf("repaired series has capacity %d for %d samples, want exact", cap(got), len(got))
 	}
 	// Timestamps must stay monotonic.
 	prev := units.Time(-1)

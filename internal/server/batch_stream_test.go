@@ -65,7 +65,8 @@ func TestBatchMixedResults(t *testing.T) {
 		{"platform_id":"gtx-titan","intensity":4.0},
 		{"platform_id":"no-such-machine","intensity":4.0},
 		{"platform_id":"gtx-titan"},
-		{"platform_id":"desktop-cpu","w_flops":1e12,"q_bytes":1e10}
+		{"platform_id":"desktop-cpu","w_flops":1e12,"q_bytes":1e10},
+		{"platform_id":"gtx-titan","w_flops":1e12,"q_bytes":0}
 	]}`)
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, body)
@@ -76,8 +77,8 @@ func TestBatchMixedResults(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("bad batch body %q: %v", body, err)
 	}
-	if len(resp.Results) != 4 {
-		t.Fatalf("len(results) = %d, want 4", len(resp.Results))
+	if len(resp.Results) != 5 {
+		t.Fatalf("len(results) = %d, want 5", len(resp.Results))
 	}
 	if m := decode(t, resp.Results[0]); m["regime"] == nil {
 		t.Errorf("result 0 should be a query response, got %s", resp.Results[0])
@@ -94,6 +95,10 @@ func TestBatchMixedResults(t *testing.T) {
 	}
 	if m := decode(t, resp.Results[3]); m["time_s"] == nil {
 		t.Errorf("result 3 should be a workload response with time_s, got %s", resp.Results[3])
+	}
+	// Zero traffic: a workload response whose intensity is null.
+	if m := decode(t, resp.Results[4]); m["time_s"] == nil || m["intensity"] != nil {
+		t.Errorf("result 4 should be a workload response with null intensity, got %s", resp.Results[4])
 	}
 }
 

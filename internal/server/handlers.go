@@ -352,10 +352,11 @@ type queryResponse struct {
 	Precision string `json:"precision"`
 	Regime    string `json:"regime"`
 
-	// Workload echo; intensity is set in both modes.
+	// Workload echo; intensity is set in both modes, and null when W/Q
+	// is not finite (Q = 0, or an overflowing ratio).
 	WFlops    *float64 `json:"w_flops,omitempty"`
 	QBytes    *float64 `json:"q_bytes,omitempty"`
-	Intensity float64  `json:"intensity"`
+	Intensity *float64 `json:"intensity"`
 
 	// Concrete-workload outputs (eqs. (1) and (3)); null in intensity mode.
 	TimeS   *float64 `json:"time_s,omitempty"`
@@ -428,7 +429,7 @@ func (s *Server) evalQuery(req queryRequest) (*cachedResponse, *apiError) {
 			}
 			pred := p.Predict(units.Flops(w), units.Bytes(q))
 			out.WFlops, out.QBytes = nf(w), nf(q)
-			out.Intensity = pred.I.Ratio()
+			out.Intensity = nf(pred.I.Ratio())
 			out.Regime = pred.Regime.Letter()
 			out.TimeS = nf(pred.Time.Seconds())
 			out.EnergyJ = nf(pred.Energy.Joules())
@@ -446,7 +447,7 @@ func (s *Server) evalQuery(req queryRequest) (*cachedResponse, *apiError) {
 			return nil, errBadRequest("intensity must be positive and finite, got %g", iv)
 		}
 		k := model.NewKernel(p)
-		out.Intensity = iv
+		out.Intensity = nf(iv)
 		out.Regime = k.RegimeAt(iv).Letter()
 		out.FlopsPerSec = nf(k.FlopRateAt(iv))
 		out.FlopsPerJoule = nf(k.FlopsPerJouleAt(iv))

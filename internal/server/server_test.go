@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"archline/internal/machine"
+	"archline/internal/units"
 )
 
 // newTestServer builds a server + httptest host with default config.
@@ -185,6 +189,53 @@ func TestQueryWorkload(t *testing.T) {
 	powerW := m["avg_power_w"].(float64)
 	if rel := (energyJ/timeS - powerW) / powerW; rel > 1e-9 || rel < -1e-9 {
 		t.Errorf("P != E/T: %g != %g/%g", powerW, energyJ, timeS)
+	}
+}
+
+// TestQueryNonFiniteIntensity: a workload whose W/Q is not finite is
+// still a valid query. Its intensity answers null, the other outputs
+// stay exact, and a run of such queries cannot open the breaker.
+func TestQueryNonFiniteIntensity(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	titan := machine.MustByID(machine.GTXTitan).Single
+	cases := []struct {
+		name string
+		w, q float64
+	}{
+		{"zero traffic", 1e12, 0},
+		{"overflowing ratio", 1e308, 1e-308},
+		{"no work", 0, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			status, body := post(t, ts.URL+"/v1/query",
+				fmt.Sprintf(`{"platform_id":"gtx-titan","w_flops":%g,"q_bytes":%g}`, c.w, c.q))
+			if status != http.StatusOK {
+				t.Fatalf("status = %d: %s", status, body)
+			}
+			if !strings.Contains(string(body), `"intensity":null`) {
+				t.Errorf("intensity not null: %s", body)
+			}
+			m := decode(t, body)
+			want := titan.Time(units.Flops(c.w), units.Bytes(c.q)).Seconds()
+			if got, ok := m["time_s"].(float64); !ok || got != want {
+				t.Errorf("time_s = %v, want %v", m["time_s"], want)
+			}
+		})
+	}
+	// Distinct bodies, so each one is evaluated rather than served
+	// from the cache.
+	for i := 0; i < DefaultBreakerMinSamples; i++ {
+		body := fmt.Sprintf(`{"platform_id":"gtx-titan","w_flops":%d,"q_bytes":0}`, 1000+i)
+		if status, out := post(t, ts.URL+"/v1/query", body); status != http.StatusOK {
+			t.Fatalf("zero-traffic query %d: status %d: %s", i, status, out)
+		}
+	}
+	if status, body := post(t, ts.URL+"/v1/query", `{"platform_id":"gtx-titan","intensity":4}`); status != http.StatusOK {
+		t.Fatalf("good query after the zero-traffic run: status %d: %s", status, body)
+	}
+	if expo := s.metrics.Render(); !strings.Contains(expo, "archlined_breaker_opens_total 0") {
+		t.Error("zero-traffic queries opened the breaker")
 	}
 }
 
@@ -488,6 +539,43 @@ func TestLRUEvictionEndToEnd(t *testing.T) {
 		_, _ = get(t, url(first))
 		if n := s.ModelEvals() - filled; n != 1 {
 			t.Errorf("re-requesting the first roofline cost %d evals, want 1 (evicted by LRU)", n)
+		}
+	})
+}
+
+// fuzzV1Routes are the POST routes FuzzV1Body drives. /v1/sweep/stream
+// is left out because a 2^20-point grid writes ~100 MB per input
+// (FuzzStreamChunk covers its encoder), and /v1/fit because every
+// accepted body starts a job.
+var fuzzV1Routes = []string{"/v1/query", "/v1/batch", "/v1/compare", "/v1/whatif"}
+
+// FuzzV1Body holds the /v1 request decoders and evaluators to the
+// client-input contract: whatever the body, the answer is a success or
+// a 4xx envelope, never a 5xx (which would also count toward the
+// circuit breaker).
+func FuzzV1Body(f *testing.F) {
+	seeds := []struct {
+		route uint8
+		body  string
+	}{
+		{0, `{"platform_id":"gtx-titan","w_flops":2e9,"q_bytes":1e9}`},
+		{0, `{"platform_id":"gtx-titan","w_flops":1e12,"q_bytes":0}`},
+		{1, `{"items":[{"platform_id":"gtx-titan","intensity":4},{"platform_id":"desktop-cpu","w_flops":1e12,"q_bytes":1e10}]}`},
+		{2, `{"a":{"platform_id":"gtx-titan"},"b":{"platform_id":"arndale-gpu"}}`},
+		{3, `{"kind":"throttle","platform":{"platform_id":"gtx-titan"},"points":9}`},
+	}
+	for _, s := range seeds {
+		f.Add(s.route, []byte(s.body))
+	}
+	h := New(Config{}).Handler()
+	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
+		path := fuzzV1Routes[int(route)%len(fuzzV1Routes)]
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code >= http.StatusInternalServerError {
+			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
 		}
 	})
 }

@@ -19,10 +19,12 @@ echo "ci: check"
 
 echo "ci: fuzz"
 # Short runs: the NDJSON chunk encoder against encoding/json,
-# stats.Select against sort-then-index, and the platform description's
-# decode/encode round trip. A failing input is written under the
-# package's testdata/fuzz/ and then replays in every go test run.
+# stats.Select against sort-then-index, the platform description's
+# decode/encode round trip, and arbitrary /v1 request bodies against
+# the no-5xx contract. A failing input is written under the package's
+# testdata/fuzz/ and then replays in every go test run.
 go test -run '^$' -fuzz '^FuzzStreamChunk$' -fuzztime 10s ./internal/server/
+go test -run '^$' -fuzz '^FuzzV1Body$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzSelect$' -fuzztime 10s ./internal/stats/
 go test -run '^$' -fuzz '^FuzzPlatformRoundTrip$' -fuzztime 10s ./internal/machine/
 
