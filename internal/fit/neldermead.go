@@ -6,8 +6,9 @@
 //
 // The optimizer is a classic Nelder-Mead downhill simplex with restarts
 // and multi-start, which is robust to the kinks the capped model's
-// max(...) introduces into the objective. Linear sub-problems use QR
-// least squares.
+// max(...) introduces into the objective. The taus and the
+// random-access mode need no optimizer: they have closed forms
+// (sustainedTaus, fitChase).
 package fit
 
 import (

@@ -271,9 +271,9 @@ func newGenerator(cfg Config) (*generator, error) {
 }
 
 // renderUploads pre-builds a small pool of upload bodies: Table I
-// platforms re-identified as loadgen-<n>, so a run cycles through
-// creates and re-uploads (re-uploads are the interesting case — they
-// trigger invalidation sweeps).
+// platforms re-identified as loadgen-<n>. A run sends them round robin,
+// so after the first pass every upload re-sends identical bytes: an
+// idempotent "unchanged" that commits no new version.
 func (g *generator) renderUploads() error {
 	all := machine.All()
 	for i := 0; i < 8; i++ {

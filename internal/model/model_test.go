@@ -378,32 +378,24 @@ func TestPredict(t *testing.T) {
 	}
 }
 
-// randomParams builds a plausible random machine from four uniform
-// deviates, for property tests.
+// randomParams builds a plausible random machine from four arbitrary
+// float64s (testing/quick draws), for property tests.
 func randomParams(a, b, c, d float64) Params {
-	u := func(x float64) float64 {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0.5
-		}
-		return math.Abs(math.Mod(x, 1))
-	}
+	u := mantissa
 	return Params{
 		TauFlop: units.TimePerFlop(1e-12 * (1 + 1e3*u(a))),
 		TauMem:  units.TimePerByte(1e-11 * (1 + 1e3*u(b))),
 		EpsFlop: units.EnergyPerFlop(1e-12 * (1 + 100*u(c))),
 		EpsMem:  units.EnergyPerByte(1e-11 * (1 + 100*u(d))),
-		Pi1:     units.Power(1 + 100*u(a+b)),
-		DeltaPi: units.Power(1 + 200*u(c+d)),
+		Pi1:     units.Power(1 + 100*math.Mod(u(a)+u(b), 1)),
+		DeltaPi: units.Power(1 + 200*math.Mod(u(c)+u(d), 1)),
 	}
 }
 
-// finMod reduces an arbitrary float into [-m, m], mapping non-finite
-// inputs to a fixed interior point so quick-generated extremes stay legal.
+// finMod maps an arbitrary float64, non-finite ones included, onto
+// [-m, m) through its mantissa bits.
 func finMod(x, m float64) float64 {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return m / 2
-	}
-	return math.Mod(x, m)
+	return m * (2*mantissa(x) - 1)
 }
 
 // Property: capped time >= uncapped time; equality iff cap term does not
@@ -572,7 +564,7 @@ func mantissa(x float64) float64 {
 // a monotone IEEE operation on DeltaPi, so the order holds bit for bit.
 func TestQuickCapMonotone(t *testing.T) {
 	f := func(a, b, c, d, wi, ii, fa, fb float64) bool {
-		p := randomParams(mantissa(a), mantissa(b), mantissa(c), mantissa(d))
+		p := randomParams(a, b, c, d)
 		w := units.Flops(1 + 1e9*mantissa(wi))
 		i := units.Intensity(math.Exp(20*mantissa(ii) - 10))
 		q := i.Bytes(w)

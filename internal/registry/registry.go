@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strconv"
 	"sync"
@@ -47,8 +48,7 @@ type Entry struct {
 // CacheKey is the version-carrying cache-key fragment for responses
 // computed against this entry. Because the version is part of the key,
 // a response cached against version N is structurally unreachable once
-// version N+1 exists — correctness does not depend on eviction racing
-// ahead of the next read.
+// version N+1 exists, so no cache needs evicting when a version bumps.
 func (e *Entry) CacheKey() string {
 	return "id:" + e.ID + "@v" + strconv.FormatUint(e.Version, 10)
 }
@@ -76,13 +76,9 @@ func (o PutOutcome) String() string {
 
 // Stats is a point-in-time snapshot for the metrics probe.
 type Stats struct {
-	Uploads       uint64 // durable Put commits since open
-	Invalidations uint64 // version bumps that evicted cached responses
-	Quarantined   uint64 // blobs quarantined by the recovery scan
-	Generation    uint64 // bumped on any membership or content change
-	// ShardPlatforms is the live-entry count per shard (builtins
-	// included): the occupancy gauge.
-	ShardPlatforms []int
+	Uploads     uint64 // durable Put commits since open
+	Quarantined uint64 // blobs quarantined by the recovery scan
+	Generation  uint64 // bumped on any membership or content change
 }
 
 // shard is one lock domain of the index.
@@ -105,22 +101,12 @@ type shard struct {
 // every endpoint resolves platforms through one path.
 type Registry struct {
 	store    *store
-	ring     *ring
 	shards   []*shard
 	builtins map[string]bool
 	recovery RecoveryStats
 
-	// inval is called under the owning shard's write lock whenever an
-	// ID's published version stops being current (re-upload or delete),
-	// so every resolve that follows sees the new version. A request that
-	// resolved the old version before Put took the lock can still put
-	// its response after the sweep; that entry is unreachable, because
-	// cache keys carry the version, and only LRU eviction frees it.
-	inval func(id string, oldVersion uint64)
-
-	uploads       atomic.Uint64
-	invalidations atomic.Uint64
-	generation    atomic.Uint64
+	uploads    atomic.Uint64
+	generation atomic.Uint64
 }
 
 // Open loads the registry from dir, creating the layout on first run.
@@ -160,7 +146,6 @@ func newRegistry(st *store, shards int) (*Registry, error) {
 	}
 	r := &Registry{
 		store:    st,
-		ring:     newRing(shards),
 		shards:   make([]*shard, shards),
 		builtins: make(map[string]bool),
 	}
@@ -283,15 +268,13 @@ func etagFor(canonical []byte) string {
 	return `"` + hex.EncodeToString(sum[:]) + `"`
 }
 
+// shardFor returns the lock domain owning id: FNV-1a of the id modulo
+// the shard count. The assignment is recomputed at every Open and never
+// stored, so it need not stay put across shard counts.
 func (r *Registry) shardFor(id string) *shard {
-	return r.shards[r.ring.shard(id)]
-}
-
-// SetInvalidator installs the cache-eviction hook. It runs under the
-// owning shard's write lock on every version bump (re-upload, delete)
-// with the ID and the version being retired. Install it before serving.
-func (r *Registry) SetInvalidator(fn func(id string, oldVersion uint64)) {
-	r.inval = fn
+	h := fnv.New32a()
+	_, _ = h.Write([]byte(id)) // hash.Hash writes never fail
+	return r.shards[h.Sum32()%uint32(len(r.shards))]
 }
 
 // Recovery returns the startup scan's summary.
@@ -337,9 +320,10 @@ func (r *Registry) List() []*Entry {
 
 // Put durably installs p, already validated by machine.FromJSON. A new
 // ID is created at the floor version + 1; an existing ID with different
-// content is updated (version bump + invalidation); byte-identical
-// content is a no-op returning the current entry — re-uploading the
-// same file is idempotent and keeps caches warm.
+// content is updated (version bump, so cache keys built from the old
+// entry are never asked for again); byte-identical content is a no-op
+// returning the current entry — re-uploading the same file is
+// idempotent and keeps caches warm.
 func (r *Registry) Put(p *machine.Platform) (*Entry, PutOutcome, error) {
 	id := string(p.ID)
 	if r.builtins[id] {
@@ -394,12 +378,6 @@ func (r *Registry) Put(p *machine.Platform) (*Entry, PutOutcome, error) {
 	outcome := PutCreated
 	if cur != nil {
 		outcome = PutUpdated
-		// Under the shard lock: no resolver can observe the new
-		// version until the old version's cached responses are gone.
-		if r.inval != nil {
-			r.inval(id, cur.Version)
-		}
-		r.invalidations.Add(1)
 	}
 	return e, outcome, nil
 }
@@ -416,8 +394,7 @@ func (r *Registry) Delete(id string) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	cur := sh.entries[id]
-	if cur == nil {
+	if sh.entries[id] == nil {
 		// Checked before the no-store case: an ID nobody ever uploaded is
 		// "not found" whether or not durable storage is configured.
 		return ErrNotFound
@@ -442,26 +419,14 @@ func (r *Registry) Delete(id string) error {
 	sh.versions[id] = version
 	delete(sh.entries, id)
 	r.generation.Add(1)
-	if r.inval != nil {
-		r.inval(id, cur.Version)
-	}
-	r.invalidations.Add(1)
 	return nil
 }
 
 // Stats snapshots the registry for the metrics probe.
 func (r *Registry) Stats() Stats {
-	s := Stats{
-		Uploads:        r.uploads.Load(),
-		Invalidations:  r.invalidations.Load(),
-		Quarantined:    uint64(r.recovery.Quarantined),
-		Generation:     r.generation.Load(),
-		ShardPlatforms: make([]int, len(r.shards)),
+	return Stats{
+		Uploads:     r.uploads.Load(),
+		Quarantined: uint64(r.recovery.Quarantined),
+		Generation:  r.generation.Load(),
 	}
-	for i, sh := range r.shards {
-		sh.mu.RLock()
-		s.ShardPlatforms[i] = len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return s
 }

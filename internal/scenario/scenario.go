@@ -35,19 +35,9 @@ func SweepMetric(name string, p model.Params, m model.Metric, grid []units.Inten
 	return sweepKernel(make([]MetricPoint, 0, len(grid)), name, &k, m, grid)
 }
 
-// SweepMetricInto is SweepMetric evaluating into dst's backing array
-// (append semantics: dst is truncated, filled, and returned inside the
-// Series). The caller owns dst and may hand the same buffer back on
-// the next sweep — at which point the previous Series' points are
-// overwritten, so retain at most one sweep per buffer.
-func SweepMetricInto(dst []MetricPoint, name string, p model.Params, m model.Metric, grid []units.Intensity) Series {
-	k := model.NewKernel(p)
-	return sweepKernel(dst[:0], name, &k, m, grid)
-}
-
 // sweepKernel appends one metric curve evaluated through a prebuilt
-// coefficient table. Shared by the public sweeps and CompareBlocks,
-// which reuses one kernel across its three metrics per machine.
+// coefficient table. Shared by SweepMetric and CompareBlocks, which
+// reuses one kernel across its three metrics per machine.
 func sweepKernel(dst []MetricPoint, name string, k *model.Kernel, m model.Metric, grid []units.Intensity) Series {
 	for _, i := range grid {
 		dst = append(dst, MetricPoint{I: i, Value: k.MetricAt(m, i.Ratio())})
@@ -166,28 +156,17 @@ type ThrottleCurve struct {
 }
 
 // ThrottleSweep evaluates the machine at each cap fraction over the grid,
-// reproducing the data behind figs. 6, 7a, and 7b.
+// reproducing the data behind figs. 6, 7a, and 7b. Every curve's points
+// share one exact-size backing array, and one coefficient table is
+// built per cap setting — the per-point loop is pure table arithmetic.
 func ThrottleSweep(p model.Params, fracs []float64, grid []units.Intensity) ([]ThrottleCurve, error) {
-	return ThrottleSweepInto(nil, p, fracs, grid)
-}
-
-// ThrottleSweepInto is ThrottleSweep evaluating every curve into buf's
-// backing array (len(fracs)*len(grid) entries; grown once when short).
-// The caller owns buf: handing the same buffer to a later sweep
-// overwrites the earlier curves' points, so retain at most one sweep
-// per buffer. One coefficient table is built per cap setting — the
-// per-point loop is pure table arithmetic.
-func ThrottleSweepInto(buf []ThrottlePoint, p model.Params, fracs []float64, grid []units.Intensity) ([]ThrottleCurve, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if len(fracs) == 0 || len(grid) == 0 {
 		return nil, errors.New("scenario: need cap fractions and an intensity grid")
 	}
-	if need := len(fracs) * len(grid); cap(buf) < need {
-		buf = make([]ThrottlePoint, 0, need)
-	}
-	buf = buf[:0]
+	buf := make([]ThrottlePoint, 0, len(fracs)*len(grid))
 	curves := make([]ThrottleCurve, 0, len(fracs))
 	for _, f := range fracs {
 		capped, err := p.WithCap(f)

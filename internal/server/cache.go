@@ -67,27 +67,6 @@ func (c *lruCache) size() int {
 	return c.order.Len()
 }
 
-// invalidate removes every entry whose key matches and reports how many
-// went. The registry's re-upload protocol calls this so responses
-// computed against a retired platform version free their memory
-// immediately (correctness never depends on it: version-carrying keys
-// make stale entries unreachable anyway).
-func (c *lruCache) invalidate(match func(key string) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if e := el.Value.(*lruEntry); match(e.key) {
-			c.order.Remove(el)
-			delete(c.items, e.key)
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
 // flightGroup deduplicates concurrent identical computations: while one
 // caller computes a key, later callers for the same key wait and share
 // the result instead of recomputing. This is the stdlib-only analogue of

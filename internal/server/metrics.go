@@ -63,9 +63,8 @@ type Metrics struct {
 	// jobsProbe, when set, reports the async job engine's gauges and
 	// counters for the archlined_jobs_* families.
 	jobsProbe func() jobs.Stats
-	// registryProbe, when set, reports the platform registry's upload,
-	// invalidation, quarantine, and shard-occupancy figures for the
-	// archlined_registry_* families.
+	// registryProbe, when set, reports the platform registry's upload
+	// and quarantine counts for the archlined_registry_* families.
 	registryProbe func() registry.Stats
 }
 
@@ -248,30 +247,11 @@ func newMetrics(now func() time.Time) *Metrics {
 				emit(nil, float64(m.registryProbe().Uploads))
 			}
 		})
-	reg.Collect("archlined_registry_invalidations_total",
-		"cache invalidation sweeps triggered by re-uploads and deletes", "counter", nil,
-		func(emit func([]string, float64)) {
-			if m.registryProbe != nil {
-				emit(nil, float64(m.registryProbe().Invalidations))
-			}
-		})
 	reg.Collect("archlined_registry_quarantined_blobs_total",
 		"corrupt registry blobs quarantined by the recovery scan", "counter", nil,
 		func(emit func([]string, float64)) {
 			if m.registryProbe != nil {
 				emit(nil, float64(m.registryProbe().Quarantined))
-			}
-		})
-	reg.Collect("archlined_registry_platforms",
-		"registered platforms per consistent-hash shard", "gauge",
-		[]string{"shard"}, func(emit func([]string, float64)) {
-			if m.registryProbe == nil {
-				return
-			}
-			// Emitted in shard-index order (a slice, never a map), so
-			// renders stay byte-stable.
-			for i, n := range m.registryProbe().ShardPlatforms {
-				emit([]string{strconv.Itoa(i)}, float64(n))
 			}
 		})
 	return m

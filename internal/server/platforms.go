@@ -19,9 +19,10 @@ import (
 // Uploads stream through the strict machine.FromJSON validator straight
 // off the size-limited request body, commit crash-safely through
 // internal/registry, and answer with the entry's version and strong
-// ETag. Re-uploading changed content bumps the version and evicts every
-// cached response keyed to the old one; re-uploading identical bytes is
-// idempotent.
+// ETag. Re-uploading changed content bumps the version, and since every
+// cache key built from a registry entry carries its version, no cached
+// response for the old one is served again; re-uploading identical
+// bytes is idempotent.
 
 // platformUploadResponse is the upload acknowledgement.
 type platformUploadResponse struct {
@@ -50,10 +51,6 @@ func (s *Server) handlePlatformUpload(w http.ResponseWriter, r *http.Request) (a
 	span := obs.SpanFrom(r.Context())
 	span.Event("registry.upload", obs.String("id", e.ID),
 		obs.Int("version", int(e.Version)), obs.String("outcome", outcome.String()))
-	if outcome == registry.PutUpdated {
-		span.Event("registry.invalidate", obs.String("id", e.ID),
-			obs.Int("old_version", int(e.Version-1)))
-	}
 	w.Header().Set("ETag", e.ETag)
 	w.Header().Set("Location", "/v1/platforms/"+e.ID)
 	status := http.StatusOK
@@ -94,9 +91,7 @@ func (s *Server) handlePlatformDelete(w http.ResponseWriter, r *http.Request) (a
 		}
 		return nil, registryError(err, id)
 	}
-	span := obs.SpanFrom(r.Context())
-	span.Event("registry.delete", obs.String("id", id))
-	span.Event("registry.invalidate", obs.String("id", id))
+	obs.SpanFrom(r.Context()).Event("registry.delete", obs.String("id", id))
 	w.WriteHeader(http.StatusNoContent)
 	return nil, nil
 }
@@ -122,8 +117,9 @@ func registryError(err error, id string) *apiError {
 
 // matchesETag reports whether an If-None-Match header value matches the
 // entry's strong ETag: "*" matches anything, otherwise any member of
-// the comma-separated list must match byte for byte (weak validators,
-// W/"...", never match — re-uploads change bytes, not just semantics).
+// the comma-separated list must match under the weak comparison RFC
+// 9110 §13.1.2 prescribes for If-None-Match, which ignores a W/ prefix
+// (proxies that compress a body often weaken its strong tag).
 func matchesETag(header, etag string) bool {
 	header = strings.TrimSpace(header)
 	if header == "" {
@@ -133,7 +129,7 @@ func matchesETag(header, etag string) bool {
 		return true
 	}
 	for _, candidate := range strings.Split(header, ",") {
-		if strings.TrimSpace(candidate) == etag {
+		if strings.TrimPrefix(strings.TrimSpace(candidate), "W/") == etag {
 			return true
 		}
 	}

@@ -38,7 +38,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"archline/internal/jobs"
@@ -191,15 +190,6 @@ func New(cfg Config) *Server {
 		s.registry, _ = registry.OpenMemory(0)
 	}
 	if s.registry != nil {
-		// Runs under the owning registry shard's lock: the version bump
-		// and the eviction of every response keyed to the retired
-		// version are one atomic step from any resolver's viewpoint.
-		s.registry.SetInvalidator(func(id string, _ uint64) {
-			frag := "id:" + id + "@v"
-			s.cache.invalidate(func(key string) bool {
-				return strings.Contains(key, frag)
-			})
-		})
 		s.metrics.registryProbe = s.registry.Stats
 	}
 	s.metrics.breakerProbe = s.breaker.snapshot
