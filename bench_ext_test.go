@@ -1,13 +1,11 @@
 package archline
 
 // Benchmarks for the extension subsystems: DVFS, the cluster/network
-// model, bootstrap confidence intervals, trace-phase detection, and the
-// cache prefetcher.
+// model, bootstrap confidence intervals and trace-phase detection.
 
 import (
 	"testing"
 
-	"archline/internal/cache"
 	"archline/internal/cluster"
 	"archline/internal/experiments"
 	"archline/internal/fit"
@@ -119,44 +117,6 @@ func BenchmarkPhaseDetection(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(phases)), "phases")
-}
-
-// BenchmarkPrefetcher measures the stride prefetcher on a streaming walk
-// and reports its accuracy.
-func BenchmarkPrefetcher(b *testing.B) {
-	l, err := cache.NewLevel(cache.Config{
-		Name: "L1", Size: units.KiB(32), LineSize: 64, Assoc: 8, Policy: cache.LRU,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := cache.NewPrefetcher(l, 2, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Access(uint64(i) * 64)
-	}
-	b.ReportMetric(p.Accuracy(), "accuracy")
-}
-
-// BenchmarkWritebackStream measures a write-allocate stream with dirty
-// evictions through a two-level hierarchy.
-func BenchmarkWritebackStream(b *testing.B) {
-	h, err := cache.NewHierarchy(
-		cache.Config{Name: "L1", Size: units.KiB(32), LineSize: 64, Assoc: 8, Policy: cache.LRU},
-		cache.Config{Name: "L2", Size: units.KiB(256), LineSize: 64, Assoc: 8, Policy: cache.LRU},
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	addrs, err := cache.StreamAddrs(units.MiB(1), 64, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ops := cache.WriteEvery(addrs, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.RunOps(ops, 64)
-	}
 }
 
 // BenchmarkHeteroSplit measures the divisible-work partitioners.

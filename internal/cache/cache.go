@@ -4,9 +4,10 @@
 // fits in a chosen level of the memory hierarchy, and its random-access
 // microbenchmark chases pointers through a permutation too large to
 // cache. This package provides the substrate that makes those working-set
-// arguments checkable in simulation: given an access stream, it reports
-// how many bytes each level actually served, which internal/microbench
-// converts into the per-level Q values the energy model charges.
+// arguments checkable in simulation: given a read stream, it reports
+// how many bytes each level actually served, which internal/sim uses,
+// when Options.UseCacheSim is set, to decide the level that serves a
+// kernel's working set.
 //
 // The simulator models inclusive caches with configurable size, line
 // size, associativity, and replacement policy (LRU, FIFO, or pseudo-
@@ -83,27 +84,22 @@ func (c Config) Sets() int {
 // way holds one resident line: its tag and the bookkeeping counters the
 // replacement policies need.
 type way struct {
-	tag        uint64
-	valid      bool
-	lastUsed   uint64 // LRU timestamp
-	loaded     uint64 // FIFO timestamp
-	dirty      bool   // written since fill (write-back policy)
-	prefetched bool   // filled by a prefetch, not yet demand-hit
+	tag      uint64
+	valid    bool
+	lastUsed uint64 // LRU timestamp
+	loaded   uint64 // FIFO timestamp
 }
 
 // Level is one simulated cache level.
 type Level struct {
-	cfg              Config
-	sets             [][]way
-	tick             uint64
-	rng              *stats.Stream
-	hits             uint64
-	misses           uint64
-	writebacks       uint64
-	prefetchFills    uint64
-	usefulPrefetches uint64
-	lineShift        uint
-	setMask          uint64
+	cfg       Config
+	sets      [][]way
+	tick      uint64
+	rng       *stats.Stream
+	hits      uint64
+	misses    uint64
+	lineShift uint
+	setMask   uint64
 }
 
 // NewLevel builds an empty cache level.
@@ -158,14 +154,56 @@ func (l *Level) Reset() {
 		}
 	}
 	l.tick, l.hits, l.misses = 0, 0, 0
-	l.writebacks, l.prefetchFills, l.usefulPrefetches = 0, 0, 0
 }
 
 // Access looks up the line containing addr as a read, filling it on a
 // miss, and reports whether it hit.
 func (l *Level) Access(addr uint64) bool {
-	hit, _ := l.AccessOp(Op{Addr: addr})
-	return hit
+	l.tick++
+	lineAddr := addr >> l.lineShift
+	set := l.sets[lineAddr&l.setMask]
+	tag := lineAddr >> uint(len64(l.setMask))
+	for i := range set {
+		if set[i].valid && set[i].tag == tag {
+			l.hits++
+			set[i].lastUsed = l.tick
+			return true
+		}
+	}
+	l.misses++
+	set[l.chooseVictim(set)] = way{tag: tag, valid: true, lastUsed: l.tick, loaded: l.tick}
+	return false
+}
+
+// chooseVictim picks a replacement victim in the set per the policy.
+func (l *Level) chooseVictim(set []way) int {
+	for i := range set {
+		if !set[i].valid {
+			return i
+		}
+	}
+	switch l.cfg.Policy {
+	case LRU:
+		victim := 0
+		for i := 1; i < len(set); i++ {
+			if set[i].lastUsed < set[victim].lastUsed {
+				victim = i
+			}
+		}
+		return victim
+	case FIFO:
+		victim := 0
+		for i := 1; i < len(set); i++ {
+			if set[i].loaded < set[victim].loaded {
+				victim = i
+			}
+		}
+		return victim
+	case Random:
+		return l.rng.Intn(len(set))
+	default:
+		return 0
+	}
 }
 
 // len64 returns the number of set-index bits implied by the mask.

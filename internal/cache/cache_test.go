@@ -265,28 +265,6 @@ func TestStreamAddrs(t *testing.T) {
 	}
 }
 
-func TestStridedAddrs(t *testing.T) {
-	addrs, err := StridedAddrs(256, 64, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{0, 64, 128, 192, 0, 64}
-	for i, w := range want {
-		if addrs[i] != w {
-			t.Errorf("addrs[%d] = %d, want %d", i, addrs[i], w)
-		}
-	}
-	if _, err := StridedAddrs(0, 64, 1); err == nil {
-		t.Error("zero working set should error")
-	}
-	if _, err := StridedAddrs(256, 0, 1); err == nil {
-		t.Error("zero stride should error")
-	}
-	if _, err := StridedAddrs(256, 64, 0); err == nil {
-		t.Error("zero count should error")
-	}
-}
-
 func TestChaseAddrsVisitsAllLines(t *testing.T) {
 	const lines = 64
 	rng := stats.NewStream(42, "chase-test")

@@ -29,29 +29,6 @@ func StreamAddrs(wsBytes units.Bytes, wordBytes units.Bytes, passes int) ([]uint
 	return addrs, nil
 }
 
-// StridedAddrs generates a strided read pattern: every strideBytes over
-// the working set, wrapping, for count accesses. Strides beyond the line
-// size defeat spatial locality the way the paper "directs" the prefetcher.
-func StridedAddrs(wsBytes, strideBytes units.Bytes, count int) ([]uint64, error) {
-	ws, stride := int64(wsBytes), int64(strideBytes)
-	if ws <= 0 || stride <= 0 {
-		return nil, errors.New("cache: working set and stride must be positive")
-	}
-	if count < 1 {
-		return nil, errors.New("cache: count must be >= 1")
-	}
-	addrs := make([]uint64, count)
-	pos := int64(0)
-	for i := range addrs {
-		addrs[i] = uint64(pos)
-		pos += stride
-		if pos >= ws {
-			pos -= ws
-		}
-	}
-	return addrs, nil
-}
-
 // ChaseAddrs generates a pointer-chasing pattern: a random Hamiltonian
 // cycle over the cache lines of the working set, followed for count
 // steps. This is the paper's random-access microbenchmark: by

@@ -454,7 +454,7 @@ func measurePlatform(opts experiments.Options, plat *machine.Platform, profile s
 			cfg.SweepPoints = opts.SweepPoints
 		}
 		cfg.Workers = opts.Workers
-		simOpts := sim.Options{Seed: opts.Seed, Noiseless: opts.Noiseless, Sanitize: true}
+		simOpts := sim.Options{Seed: opts.Seed, Noiseless: opts.Noiseless}
 		if prof.Enabled() {
 			simOpts.Faults = faults.New(prof, faultSeed)
 		}

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ func (c *fakeClock) sleep(d time.Duration) { c.slept = append(c.slept, d) }
 func TestRetrySucceedsAfterTransients(t *testing.T) {
 	clock := &fakeClock{}
 	calls := 0
-	retries, err := RetryNotify(Backoff{}, clock.sleep, stats.NewStream(42, "retry"), nil, func() error {
+	retries, err := RetryNotify(clock.sleep, stats.NewStream(42, "retry"), nil, func() error {
 		calls++
 		if calls < 3 {
 			return powermon.ErrDisconnect
@@ -35,9 +36,9 @@ func TestRetrySucceedsAfterTransients(t *testing.T) {
 	}
 	// Delays grow and respect the jitter envelope around base*factor^k.
 	for i, d := range clock.slept {
-		nominal := float64(defaultBase) * pow(defaultFactor, i)
-		lo := time.Duration(nominal * (1 - defaultJitter))
-		hi := time.Duration(nominal * (1 + defaultJitter))
+		nominal := float64(backoffBase) * pow(backoffFactor, i)
+		lo := time.Duration(nominal * (1 - backoffJitter))
+		hi := time.Duration(nominal * (1 + backoffJitter))
 		if d < lo || d > hi {
 			t.Errorf("delay[%d] = %v, want within [%v, %v]", i, d, lo, hi)
 		}
@@ -55,7 +56,7 @@ func pow(f float64, k int) float64 {
 func TestRetryPermanentErrorNotRetried(t *testing.T) {
 	clock := &fakeClock{}
 	calls := 0
-	retries, err := RetryNotify(Backoff{}, clock.sleep, nil, nil, func() error {
+	retries, err := RetryNotify(clock.sleep, nil, nil, func() error {
 		calls++
 		return powermon.ErrNoChannels
 	})
@@ -69,26 +70,24 @@ func TestRetryPermanentErrorNotRetried(t *testing.T) {
 
 func TestRetryBudgetExhausted(t *testing.T) {
 	clock := &fakeClock{}
-	b := Backoff{Attempts: 3}
-	retries, err := RetryNotify(b, clock.sleep, nil, nil, func() error { return powermon.ErrDisconnect })
+	retries, err := RetryNotify(clock.sleep, nil, nil, func() error { return powermon.ErrDisconnect })
 	if !errors.Is(err, powermon.ErrDisconnect) {
 		t.Errorf("exhausted err = %v, want wrapped ErrDisconnect", err)
 	}
 	if !powermon.IsTransient(err) {
 		t.Error("exhausted error must stay errors.Is-able as transient")
 	}
-	if retries != 2 || len(clock.slept) != 2 {
-		t.Errorf("retries = %d, sleeps = %d; want 2, 2", retries, len(clock.slept))
+	if retries != retryAttempts-1 || len(clock.slept) != retryAttempts-1 {
+		t.Errorf("retries = %d, sleeps = %d; want %d, %[3]d", retries, len(clock.slept), retryAttempts-1)
 	}
 }
 
 func TestDelayCapsAtMax(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: 300 * time.Millisecond, Factor: 2, Jitter: -1}
-	if d := b.Delay(10, nil); d != 300*time.Millisecond {
-		t.Errorf("Delay(10) = %v, want capped 300ms", d)
+	if d := backoffDelay(10, nil); d != backoffMax {
+		t.Errorf("backoffDelay(10) = %v, want capped %v", d, backoffMax)
 	}
-	if d := b.Delay(1, nil); d != 100*time.Millisecond {
-		t.Errorf("Delay(1) = %v, want base 100ms", d)
+	if d := backoffDelay(1, nil); d != backoffBase {
+		t.Errorf("backoffDelay(1) = %v, want base %v", d, backoffBase)
 	}
 }
 
@@ -97,10 +96,9 @@ func TestJitterDeterministicUnderSeededStream(t *testing.T) {
 	// wall-clock randomness may leak in.
 	mk := func() []time.Duration {
 		rng := stats.NewStream(7, "jitter")
-		b := Backoff{}
 		var ds []time.Duration
 		for a := 1; a <= 5; a++ {
-			ds = append(ds, b.Delay(a, rng))
+			ds = append(ds, backoffDelay(a, rng))
 		}
 		return ds
 	}
@@ -111,7 +109,7 @@ func TestJitterDeterministicUnderSeededStream(t *testing.T) {
 		}
 	}
 	// And a different label diverges.
-	other := Backoff{}.Delay(1, stats.NewStream(7, "other"))
+	other := backoffDelay(1, stats.NewStream(7, "other"))
 	if other == a[0] {
 		t.Error("distinct streams produced identical jitter (suspicious)")
 	}
@@ -119,7 +117,7 @@ func TestJitterDeterministicUnderSeededStream(t *testing.T) {
 
 func TestRetryNeverSleepsOnSuccess(t *testing.T) {
 	clock := &fakeClock{}
-	retries, err := RetryNotify(Backoff{}, clock.sleep, nil, nil, func() error { return nil })
+	retries, err := RetryNotify(clock.sleep, nil, nil, func() error { return nil })
 	if err != nil || retries != 0 || len(clock.slept) != 0 {
 		t.Errorf("success path slept: retries=%d sleeps=%d err=%v", retries, len(clock.slept), err)
 	}
@@ -127,28 +125,21 @@ func TestRetryNeverSleepsOnSuccess(t *testing.T) {
 
 // TestRetryNilSleepDoesNotWait pins the simulated clock: with no sleep
 // the delays are still computed and reported, but none is waited out,
-// so an hour-long schedule returns at once.
+// so a run through the whole schedule returns well before its sum.
 func TestRetryNilSleepDoesNotWait(t *testing.T) {
-	b := Backoff{Base: time.Hour, Max: time.Hour, Jitter: -1}
 	var delays []time.Duration
-	calls := 0
+	var total time.Duration
 	start := time.Now()
-	retries, err := RetryNotify(b, nil, nil,
-		func(_ int, d time.Duration, _ error) { delays = append(delays, d) },
-		func() error {
-			calls++
-			if calls < 3 {
-				return powermon.ErrDisconnect
-			}
-			return nil
-		})
-	if err != nil || retries != 2 {
-		t.Fatalf("retries = %d, err = %v; want 2, nil", retries, err)
+	retries, err := RetryNotify(nil, nil,
+		func(_ int, d time.Duration, _ error) { delays = append(delays, d); total += d },
+		func() error { return powermon.ErrDisconnect })
+	if !errors.Is(err, powermon.ErrDisconnect) || retries != retryAttempts-1 {
+		t.Fatalf("retries = %d, err = %v; want %d, ErrDisconnect", retries, err, retryAttempts-1)
 	}
-	if len(delays) != 2 || delays[0] != time.Hour || delays[1] != time.Hour {
-		t.Errorf("reported delays = %v, want [1h 1h]", delays)
+	if want := []time.Duration{backoffBase, 2 * backoffBase, 4 * backoffBase}; !slices.Equal(delays, want) {
+		t.Errorf("reported delays = %v, want %v", delays, want)
 	}
-	if d := time.Since(start); d > time.Minute {
-		t.Errorf("nil sleep waited %v", d)
+	if d := time.Since(start); d >= total {
+		t.Errorf("nil sleep waited %v of a %v schedule", d, total)
 	}
 }

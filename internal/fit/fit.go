@@ -167,26 +167,24 @@ func initialGuess(obs []observation, idle float64) ([]float64, error) {
 type Options struct {
 	// Restarts is the number of multi-start perturbations. Default 8.
 	Restarts int
-	// Spread is the multi-start perturbation scale. Default 0.15.
-	Spread float64
 	// Seed drives the multi-start perturbations.
 	Seed uint64
-	// NM overrides the optimizer options.
-	NM NMOptions
 }
 
 func (o Options) withDefaults() Options {
 	if o.Restarts == 0 {
 		o.Restarts = 8
 	}
-	if o.Spread == 0 {
-		o.Spread = 0.15
-	}
-	if o.NM.MaxIter == 0 {
-		o.NM.MaxIter = 4000
-	}
 	return o
 }
+
+// Every multi-start of the platform fit perturbs its restarts by
+// startSpread in log-parameter space and bounds each Nelder-Mead run at
+// fitMaxIter iterations.
+const (
+	startSpread = 0.15
+	fitMaxIter  = 4000
+)
 
 // Platform runs the full fitting pipeline on a suite result: the joint
 // six-parameter DRAM fit, then the per-cache-level fits with the
@@ -220,7 +218,7 @@ func PlatformContext(ctx context.Context, res *microbench.Result, opts Options) 
 		}
 	}
 	best, err := MultiStart(dramObjective(obs, tauF, tauM, maxP), x0,
-		opts.Restarts, opts.Spread, opts.Seed, opts.NM)
+		opts.Restarts, startSpread, opts.Seed, NMOptions{MaxIter: fitMaxIter})
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +321,8 @@ func fitFlopSide(obs []observation, base model.Params, opts Options) (units.Ener
 		return loss
 	}
 	start := math.Log(math.Max((hi.p-base.Pi1.Watts())*hi.t/hi.w, 1e-18))
-	best, err := MultiStart(obj, []float64{start}, opts.Restarts, opts.Spread, opts.Seed+1, opts.NM)
+	best, err := MultiStart(obj, []float64{start},
+		opts.Restarts, startSpread, opts.Seed+1, NMOptions{MaxIter: fitMaxIter})
 	if err != nil {
 		return 0, err
 	}
@@ -374,7 +373,7 @@ func fitLevel(obs []observation, base model.Params, opts Options) (*model.LevelP
 	}
 	eps0 := math.Max((lo.p-base.Pi1.Watts())*lo.t/lo.q, 1e-18)
 	best, err := MultiStart(obj, []float64{math.Log(eps0)},
-		opts.Restarts, opts.Spread, opts.Seed+2, opts.NM)
+		opts.Restarts, startSpread, opts.Seed+2, NMOptions{MaxIter: fitMaxIter})
 	if err != nil {
 		return nil, err
 	}
@@ -411,31 +410,4 @@ func fitChase(ms []sim.Measurement, base model.Params, line units.Bytes) (*model
 		Eps:  units.EnergyPerAccess(eps),
 		Line: line,
 	}, nil
-}
-
-// CacheLineSize recovers a platform's effective cache-line size from a
-// pair of bandwidth measurements, the standard lab method: a unit-stride
-// streaming run moves only useful bytes, while a large-stride run moves
-// one full line per useful word, so
-//
-//	line = word * (useful streaming BW / useful strided BW)
-//
-// Both measurements must be taken from the same memory level. The result
-// is rounded to the nearest power of two, as real line sizes are.
-func CacheLineSize(streamUsefulBW, stridedUsefulBW, wordBytes float64) (int, error) {
-	if streamUsefulBW <= 0 || stridedUsefulBW <= 0 || wordBytes <= 0 {
-		return 0, errors.New("fit: bandwidths and word size must be positive")
-	}
-	if stridedUsefulBW > streamUsefulBW {
-		return 0, errors.New("fit: strided bandwidth exceeds streaming bandwidth")
-	}
-	raw := wordBytes * streamUsefulBW / stridedUsefulBW
-	line := 1
-	for float64(line) < raw/math.Sqrt2 {
-		line *= 2
-	}
-	if line < int(wordBytes) {
-		line = int(wordBytes)
-	}
-	return line, nil
 }

@@ -181,57 +181,3 @@ func TestFitAllPlatformsEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-func TestCacheLineSizeRecovery(t *testing.T) {
-	// Simulate the lab procedure on every platform: one unit-stride and
-	// one page-stride DRAM run, then recover the line size.
-	for _, plat := range machine.All() {
-		s := sim.New(plat, sim.Options{Seed: 13, Noiseless: true})
-		stream := sim.Kernel{
-			Name: "ls-stream", Precision: sim.Single,
-			WorkingSet: 64 << 20, Passes: 2,
-		}
-		strided := sim.Kernel{
-			Name: "ls-strided", Precision: sim.Single, Pattern: sim.StridedPattern,
-			WorkingSet: 64 << 20, Passes: 2, StrideBytes: 4096,
-		}
-		rs, err := s.Run(stream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := s.Run(strided)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamBW := float64(rs.Q) / float64(rs.TrueTime)
-		words := float64(strided.WorkingSet) / 4096 * float64(strided.Passes)
-		stridedUseful := words * 4 / float64(rt.TrueTime)
-		line, err := CacheLineSize(streamBW, stridedUseful, 4)
-		if err != nil {
-			t.Fatalf("%s: %v", plat.Name, err)
-		}
-		if line != int(plat.CacheLine) {
-			t.Errorf("%s: recovered line %d, truth %d", plat.Name, line, int(plat.CacheLine))
-		}
-	}
-}
-
-func TestCacheLineSizeErrors(t *testing.T) {
-	if _, err := CacheLineSize(0, 1, 4); err == nil {
-		t.Error("zero stream BW should error")
-	}
-	if _, err := CacheLineSize(1, 0, 4); err == nil {
-		t.Error("zero strided BW should error")
-	}
-	if _, err := CacheLineSize(1, 1, 0); err == nil {
-		t.Error("zero word should error")
-	}
-	if _, err := CacheLineSize(1, 2, 4); err == nil {
-		t.Error("strided above streaming should error")
-	}
-	// Equal bandwidths: line == word.
-	line, err := CacheLineSize(100, 100, 8)
-	if err != nil || line != 8 {
-		t.Errorf("line=%d err=%v, want word size", line, err)
-	}
-}

@@ -136,7 +136,7 @@ func robustRefit(span *tele.Span, out *PlatformFit, obs []observation, tauF, tau
 		return
 	}
 	rb, err := MultiStart(huberObjective(obs, tauF, tauM, maxP, huberK*d.scale),
-		best.X, opts.Restarts, opts.Spread, opts.Seed+3, opts.NM)
+		best.X, opts.Restarts, startSpread, opts.Seed+3, NMOptions{MaxIter: fitMaxIter})
 	if err != nil || math.IsInf(rb.F, 0) {
 		span.Event("huber.refit.failed")
 		return // keep the least-squares fit; the grade will say C

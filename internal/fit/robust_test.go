@@ -1,6 +1,7 @@
 package fit
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,8 +18,8 @@ import (
 // runRobustSuite runs the fault-hardened pipeline under an injector.
 func runRobustSuite(tb testing.TB, inj *faults.Injector, seed uint64) *microbench.Result {
 	tb.Helper()
-	res, _, err := microbench.RunRobust(machine.MustByID(machine.GTXTitan),
-		microbench.DefaultConfig(),
+	res, _, err := microbench.RunRobustContext(context.Background(),
+		machine.MustByID(machine.GTXTitan), microbench.DefaultConfig(),
 		sim.Options{Seed: seed, Faults: inj, Sanitize: true},
 		microbench.RobustConfig{})
 	if err != nil {

@@ -236,7 +236,7 @@ type generator struct {
 	cum       []float64 // cumulative weights over ops
 	platforms []string
 	zipf      *zipfPicker
-	uploads   [][]byte // pre-rendered upload bodies, cycled through
+	uploads   [][][]byte // pre-rendered upload bodies, [Table I base][id]
 	uploadN   int
 }
 
@@ -270,14 +270,15 @@ func newGenerator(cfg Config) (*generator, error) {
 	return g, nil
 }
 
-// renderUploads pre-builds a small pool of upload bodies: Table I
-// platforms re-identified as loadgen-<n>. A run sends them round robin,
-// so after the first pass every upload re-sends identical bytes: an
-// idempotent "unchanged" that commits no new version.
+// uploadIDs is how many platform ids the upload op writes: loadgen-0
+// to loadgen-7.
+const uploadIDs = 8
+
+// renderUploads pre-builds the upload bodies: every Table I platform
+// re-identified as each of the uploadIDs ids.
 func (g *generator) renderUploads() error {
-	all := machine.All()
-	for i := 0; i < 8; i++ {
-		canon, err := machine.Canonical(all[i%len(all)])
+	for _, base := range machine.All() {
+		canon, err := machine.Canonical(base)
 		if err != nil {
 			return fmt.Errorf("loadgen: rendering upload body: %v", err)
 		}
@@ -285,13 +286,15 @@ func (g *generator) renderUploads() error {
 		if err := json.Unmarshal(canon, &doc); err != nil {
 			return fmt.Errorf("loadgen: re-keying upload body: %v", err)
 		}
-		doc["id"] = "loadgen-" + strconv.Itoa(i)
-		doc["name"] = "loadgen synthetic " + strconv.Itoa(i)
-		body, err := json.Marshal(doc)
-		if err != nil {
-			return fmt.Errorf("loadgen: re-keying upload body: %v", err)
+		bodies := make([][]byte, uploadIDs)
+		for i := range bodies {
+			doc["id"] = "loadgen-" + strconv.Itoa(i)
+			doc["name"] = "loadgen synthetic " + strconv.Itoa(i)
+			if bodies[i], err = json.Marshal(doc); err != nil {
+				return fmt.Errorf("loadgen: re-keying upload body: %v", err)
+			}
 		}
-		g.uploads = append(g.uploads, body)
+		g.uploads = append(g.uploads, bodies)
 	}
 	return nil
 }
@@ -363,9 +366,14 @@ func (g *generator) next() spec {
 			"sweep_points": 16,
 		})
 	case OpUpload:
+		// The ids take turns, and each pass over them moves every id on
+		// to the next Table I base: an upload always differs from the
+		// id's current version, so each one commits a new version
+		// instead of being an idempotent "unchanged".
+		id, pass := g.uploadN%uploadIDs, g.uploadN/uploadIDs
 		g.uploadN++
 		return spec{op: op, method: http.MethodPost, path: "/v1/platforms",
-			body: g.uploads[g.uploadN%len(g.uploads)]}
+			body: g.uploads[(id+pass)%len(g.uploads)][id]}
 	}
 	panic("loadgen: unreachable op " + op)
 }

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,9 +15,9 @@ import (
 
 // newTestDaemon boots an in-process archlined and returns its base URL
 // plus the server (for metrics assertions).
-func newTestDaemon(t *testing.T) (*server.Server, string) {
+func newTestDaemon(t *testing.T, cfg server.Config) (*server.Server, string) {
 	t.Helper()
-	s := server.New(server.Config{})
+	s := server.New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts.URL
@@ -27,7 +28,7 @@ func newTestDaemon(t *testing.T) (*server.Server, string) {
 // seed) and that the standing mix produces only successes against a
 // healthy daemon.
 func TestRunDeterministicStream(t *testing.T) {
-	_, base := newTestDaemon(t)
+	_, base := newTestDaemon(t, server.Config{})
 	cfg := Config{
 		BaseURL:     base,
 		MaxRequests: 60,
@@ -71,7 +72,7 @@ func TestRunDeterministicStream(t *testing.T) {
 // TestRunOpenLoop checks the paced mode issues roughly Rate×Duration
 // requests and classifies them.
 func TestRunOpenLoop(t *testing.T) {
-	_, base := newTestDaemon(t)
+	_, base := newTestDaemon(t, server.Config{})
 	rep, err := Run(context.Background(), Config{
 		BaseURL:  base,
 		Duration: 500 * time.Millisecond,
@@ -98,7 +99,7 @@ func TestRunOpenLoop(t *testing.T) {
 // TestAggContractEndToEnd drives load and checks the per-platform query
 // counters, aggregated by platform id, materialized in /metrics.
 func TestAggContractEndToEnd(t *testing.T) {
-	s, base := newTestDaemon(t)
+	s, base := newTestDaemon(t, server.Config{})
 	rep, err := Run(context.Background(), Config{
 		BaseURL:     base,
 		MaxRequests: 30,
@@ -114,6 +115,31 @@ func TestAggContractEndToEnd(t *testing.T) {
 	exp := s.Metrics().Render()
 	if !strings.Contains(exp, `archlined_platform_queries_total{platform="`) {
 		t.Error("per-platform counters did not materialize")
+	}
+}
+
+// TestUploadsCommitEveryPass runs an upload-only mix for three passes
+// over the upload ids against a daemon with a registry: each upload
+// must commit a new version, none may be an idempotent re-send.
+func TestUploadsCommitEveryPass(t *testing.T) {
+	s, base := newTestDaemon(t, server.Config{DataDir: t.TempDir()})
+	const n = 3 * uploadIDs
+	rep, err := Run(context.Background(), Config{
+		BaseURL:     base,
+		MaxRequests: n,
+		Duration:    30 * time.Second,
+		Seed:        7,
+		Mix:         map[string]float64{OpUpload: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Requests != n || rep.OK != n {
+		t.Fatalf("requests = %d, ok = %d; want %d each: %+v", rep.Requests, rep.OK, n, rep)
+	}
+	want := fmt.Sprintf("archlined_registry_uploads_total %d\n", n)
+	if exp := s.Metrics().Render(); !strings.Contains(exp, want) {
+		t.Errorf("exposition lacks %q", strings.TrimSpace(want))
 	}
 }
 

@@ -33,14 +33,6 @@ type Config struct {
 	// SweepPoints is the number of intensity-sweep kernels (log-spaced
 	// flops-per-word). Default 25.
 	SweepPoints int
-	// MinFPW and MaxFPW bound the flops-per-word sweep. Defaults 0.5 and
-	// 2048 (I from 1/8 to 512 flop:Byte in single precision).
-	MinFPW, MaxFPW float64
-	// TargetRunTime is the wall time each kernel should occupy so the
-	// power meter sees enough samples. Default 0.25 s.
-	TargetRunTime units.Time
-	// DRAMWorkingSet is the streaming working set. Default 64 MiB.
-	DRAMWorkingSet units.Bytes
 	// IncludeDouble adds a double-precision sweep on capable platforms.
 	IncludeDouble bool
 	// IncludeCache adds per-cache-level kernels.
@@ -61,16 +53,24 @@ type Config struct {
 // DefaultConfig is the full suite as the paper ran it.
 func DefaultConfig() Config {
 	return Config{
-		SweepPoints:    25,
-		MinFPW:         0.5,
-		MaxFPW:         2048,
-		TargetRunTime:  0.25,
-		DRAMWorkingSet: units.MiB(64),
-		IncludeDouble:  true,
-		IncludeCache:   true,
-		IncludeChase:   true,
+		SweepPoints:   25,
+		IncludeDouble: true,
+		IncludeCache:  true,
+		IncludeChase:  true,
 	}
 }
+
+// The suite's fixed protocol: the DRAM sweep log-spaces flops per word
+// over [minFPW, maxFPW] (I from 1/8 to 512 flop:Byte in single
+// precision) on a dramWorkingSet stream, and every kernel is tuned to
+// run for about targetRunTime, long enough for the 1024 Hz power meter
+// to see enough samples.
+const (
+	minFPW                     = 0.5
+	maxFPW                     = 2048
+	targetRunTime  units.Time  = 0.25
+	dramWorkingSet units.Bytes = 64 << 20 // 64 MiB
+)
 
 // cacheFPWs are the flops-per-word points used inside each cache level:
 // enough spread to separate the level's tau and eps in the fit.
@@ -81,33 +81,27 @@ func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
 	if cfg.SweepPoints < 2 {
 		return nil, fmt.Errorf("microbench: need at least 2 sweep points, got %d", cfg.SweepPoints)
 	}
-	if cfg.MinFPW <= 0 || cfg.MaxFPW <= cfg.MinFPW {
-		return nil, fmt.Errorf("microbench: bad flops-per-word range [%v, %v]", cfg.MinFPW, cfg.MaxFPW)
-	}
-	if cfg.TargetRunTime <= 0 || cfg.DRAMWorkingSet <= 0 {
-		return nil, fmt.Errorf("microbench: target run time and working set must be positive")
-	}
 	var kernels []sim.Kernel
 
 	// Intensity sweep from DRAM.
 	for i := 0; i < cfg.SweepPoints; i++ {
 		frac := float64(i) / float64(cfg.SweepPoints-1)
-		fpw := math.Exp(math.Log(cfg.MinFPW) + frac*(math.Log(cfg.MaxFPW)-math.Log(cfg.MinFPW)))
+		fpw := math.Exp(math.Log(minFPW) + frac*(math.Log(maxFPW)-math.Log(minFPW)))
 		kernels = append(kernels, tuned(plat, sim.Kernel{
 			Name:         fmt.Sprintf("sweep-sp-%02d", i),
 			Precision:    sim.Single,
 			Pattern:      sim.StreamPattern,
 			FlopsPerWord: fpw,
-			WorkingSet:   cfg.DRAMWorkingSet,
-		}, cfg.TargetRunTime))
+			WorkingSet:   dramWorkingSet,
+		}, targetRunTime))
 		if cfg.IncludeDouble && plat.SupportsDouble() {
 			kernels = append(kernels, tuned(plat, sim.Kernel{
 				Name:         fmt.Sprintf("sweep-dp-%02d", i),
 				Precision:    sim.Double,
 				Pattern:      sim.StreamPattern,
 				FlopsPerWord: fpw,
-				WorkingSet:   cfg.DRAMWorkingSet,
-			}, cfg.TargetRunTime))
+				WorkingSet:   dramWorkingSet,
+			}, targetRunTime))
 		}
 	}
 
@@ -120,7 +114,7 @@ func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
 					Pattern:      sim.StreamPattern,
 					FlopsPerWord: fpw,
 					WorkingSet:   units.Bytes(plat.L1Size.Count() / 2),
-				}, cfg.TargetRunTime))
+				}, targetRunTime))
 			}
 		}
 		if plat.L2 != nil {
@@ -133,7 +127,7 @@ func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
 					// Halfway between L1 and L2 capacity: resident in L2,
 					// too large for L1.
 					WorkingSet: units.Bytes((plat.L1Size.Count() + plat.L2Size.Count()) / 2),
-				}, cfg.TargetRunTime))
+				}, targetRunTime))
 			}
 		}
 	}
@@ -144,7 +138,7 @@ func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
 			Precision:  sim.Single,
 			Pattern:    sim.ChasePattern,
 			WorkingSet: units.MiB(256),
-		}, cfg.TargetRunTime))
+		}, targetRunTime))
 	}
 	return kernels, nil
 }

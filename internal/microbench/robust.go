@@ -21,8 +21,6 @@ import (
 type RobustConfig struct {
 	// Repeats is how many times each kernel is measured. Default 3.
 	Repeats int
-	// Backoff schedules retries of transient measurement errors.
-	Backoff faults.Backoff
 	// Sleep receives each backoff delay. Nil means no wait: the delay
 	// is kept on the simulated clock, as the fault.retry event's
 	// delay_s, because a simulated disconnect episode ends after a
@@ -66,23 +64,21 @@ func (rs RobustStats) String() string {
 // noise and fault schedule.
 func repeatSuffix(rep int) string { return fmt.Sprintf("@r%d", rep) }
 
-// RunRobust builds and executes the suite the way a careful lab does on
-// flaky instrumentation: every kernel is measured Repeats times (each
-// repeat under its own noise and fault schedule), transient meter errors
-// are retried with capped jittered backoff, traces are sanitized,
+// RunRobustContext builds and executes the suite the way a careful lab
+// does on flaky instrumentation: every kernel is measured Repeats times
+// (each repeat under its own noise and fault schedule), transient meter
+// errors are retried on faults.RetryNotify's fixed schedule of capped
+// jittered backoff, traces are sanitized (opts.Sanitize is forced on),
 // GradeC repeats are discarded when a cleaner repeat exists, and the
 // surviving repeats are aggregated component-wise by median — the
 // outlier-trimmed estimate a single throttled or corrupted run cannot
 // drag. The aggregated Result is shaped exactly like Run's, so the
 // fitting pipeline consumes it unchanged.
-func RunRobust(plat *machine.Platform, cfg Config, opts sim.Options, rc RobustConfig) (*Result, *RobustStats, error) {
-	return RunRobustContext(context.Background(), plat, cfg, opts, rc)
-}
-
-// RunRobustContext is RunRobust under a microbench.suite span: each
-// kernel gets a child span carrying retry, lost-repeat, and discard
-// events, and the suite span closes with the aggregate robustness
-// stats. Without a tracer on ctx it behaves exactly like RunRobust.
+//
+// It runs under a microbench.suite span: each kernel gets a child span
+// carrying retry, lost-repeat, and discard events, and the suite span
+// closes with the aggregate robustness stats. Without a tracer on ctx
+// the spans are no-ops.
 //
 // Like Run, it measures the kernels concurrently on pool.Map
 // (Config.Workers; zero means NumCPU), so their CPU work spreads over
@@ -181,19 +177,12 @@ func measureKernelRobust(ctx context.Context, s *sim.Simulator, k sim.Kernel,
 		rk.Name = k.Name + repeatSuffix(rep)
 		rng := stats.NewStream(seed^0x5e77, string(s.Platform().ID)+"/retry/"+rk.Name)
 		var m sim.Measurement
-		retries, err := faults.RetryNotify(rc.Backoff, rc.Sleep, rng,
-			func(attempt int, delay time.Duration, rerr error) {
-				span.Event("fault.retry", obs.String("kernel", rk.Name), obs.Int("attempt", attempt),
-					obs.Float("delay_s", delay.Seconds()), obs.String("error", rerr.Error()))
-			},
-			func() error {
-				var merr error
-				m, merr = s.MeasureContext(ctx, rk)
-				return merr
-			})
-		rs.Retries += retries
+		err := retryRepeat(span, rk.Name, rng, rc.Sleep, rs, func() error {
+			var merr error
+			m, merr = s.MeasureContext(ctx, rk)
+			return merr
+		})
 		if err != nil {
-			span.Event("repeat.lost", obs.String("kernel", rk.Name), obs.String("error", err.Error()))
 			lastErr = err
 			continue // this repeat is lost; others may still land
 		}
@@ -214,6 +203,24 @@ func measureKernelRobust(ctx context.Context, s *sim.Simulator, k sim.Kernel,
 	}
 	span.SetAttr(obs.String("grade", agg.Quality.Grade.String()), obs.Int("kept", len(kept)))
 	return agg, nil
+}
+
+// retryRepeat measures one repeat of the named kernel through
+// faults.RetryNotify, jittering its delays from rng. Each retry is a
+// fault.retry event on span and a repeat that runs out of attempts a
+// repeat.lost event; the retries add to rs.
+func retryRepeat(span *obs.Span, kernel string, rng *stats.Stream, sleep func(time.Duration),
+	rs *RobustStats, measure func() error) error {
+	retries, err := faults.RetryNotify(sleep, rng,
+		func(attempt int, delay time.Duration, rerr error) {
+			span.Event("fault.retry", obs.String("kernel", kernel), obs.Int("attempt", attempt),
+				obs.Float("delay_s", delay.Seconds()), obs.String("error", rerr.Error()))
+		}, measure)
+	rs.Retries += retries
+	if err != nil {
+		span.Event("repeat.lost", obs.String("kernel", kernel), obs.String("error", err.Error()))
+	}
+	return err
 }
 
 // discardContaminated drops GradeC repeats as long as at least one
@@ -276,19 +283,12 @@ func measureIdleRobust(ctx context.Context, s *sim.Simulator, rc RobustConfig,
 		}
 		rng := stats.NewStream(seed^0x5e77, string(plat.ID)+"/retry/idle"+repeatSuffix(rep))
 		var p units.Power
-		retries, err := faults.RetryNotify(rc.Backoff, rc.Sleep, rng,
-			func(attempt int, delay time.Duration, rerr error) {
-				span.Event("fault.retry", obs.String("kernel", "idle"), obs.Int("attempt", attempt),
-					obs.Float("delay_s", delay.Seconds()), obs.String("error", rerr.Error()))
-			},
-			func() error {
-				var merr error
-				p, merr = s.MeasureIdleContext(ctx, 1)
-				return merr
-			})
-		rs.Retries += retries
+		err := retryRepeat(span, "idle", rng, rc.Sleep, rs, func() error {
+			var merr error
+			p, merr = s.MeasureIdleContext(ctx, 1)
+			return merr
+		})
 		if err != nil {
-			span.Event("repeat.lost", obs.String("kernel", "idle"), obs.String("error", err.Error()))
 			lastErr = err
 			continue
 		}

@@ -37,7 +37,8 @@ func TestRunRobustCleanMatchesSuite(t *testing.T) {
 	plat := machine.MustByID(machine.GTXTitan)
 	cfg := DefaultConfig()
 	sleep, slept := sleepRecorder(t)
-	res, rs, err := RunRobust(plat, cfg, robustOpts(nil), RobustConfig{Sleep: sleep})
+	res, rs, err := RunRobustContext(context.Background(), plat, cfg,
+		robustOpts(nil), RobustConfig{Sleep: sleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,8 @@ func TestRunRobustSurvivesPaperFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	sleep, _ := sleepRecorder(t)
 	inj := faults.New(faults.Paper(), 7)
-	res, rs, err := RunRobust(plat, cfg, robustOpts(inj), RobustConfig{Sleep: sleep})
+	res, rs, err := RunRobustContext(context.Background(), plat, cfg,
+		robustOpts(inj), RobustConfig{Sleep: sleep})
 	if err != nil {
 		t.Fatalf("robust run did not survive the paper profile: %v", err)
 	}
@@ -99,7 +101,7 @@ func TestRunRobustDeterministic(t *testing.T) {
 	cfg.IncludeChase = false
 	run := func() (*Result, *RobustStats) {
 		sleep, _ := sleepRecorder(t)
-		res, rs, err := RunRobust(plat, cfg, robustOpts(faults.New(faults.Paper(), 7)),
+		res, rs, err := RunRobustContext(context.Background(), plat, cfg, robustOpts(faults.New(faults.Paper(), 7)),
 			RobustConfig{Sleep: sleep})
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +136,8 @@ func TestRunRobustAllRepeatsFailing(t *testing.T) {
 	cfg.IncludeCache = false
 	cfg.IncludeChase = false
 	sleep, _ := sleepRecorder(t)
-	_, _, err := RunRobust(plat, cfg, robustOpts(faults.New(prof, 7)), RobustConfig{Sleep: sleep})
+	_, _, err := RunRobustContext(context.Background(), plat, cfg,
+		robustOpts(faults.New(prof, 7)), RobustConfig{Sleep: sleep})
 	if err == nil {
 		t.Fatal("permanently disconnected meter should fail the run")
 	}
@@ -261,7 +264,8 @@ func TestRunRobustSerializesSleep(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 		inside.Add(-1)
 	}
-	_, rs, err := RunRobust(plat, cfg, robustOpts(faults.New(prof, 7)), RobustConfig{Sleep: sleep})
+	_, rs, err := RunRobustContext(context.Background(), plat, cfg,
+		robustOpts(faults.New(prof, 7)), RobustConfig{Sleep: sleep})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +324,7 @@ func BenchmarkRunRobust(b *testing.B) {
 		// A fresh injector per iteration: it carries each label's
 		// disconnect countdown from one recording to the next.
 		opts := robustOpts(faults.New(faults.Paper(), 7))
-		if _, _, err := RunRobust(plat, cfg, opts, RobustConfig{}); err != nil {
+		if _, _, err := RunRobustContext(context.Background(), plat, cfg, opts, RobustConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -177,21 +177,3 @@ func PowerMatch(big, small Params) (int, error) {
 	}
 	return int(math.Ceil(k - 1e-9)), nil
 }
-
-// PowerMatchWatts returns the number of copies of machine small needed to
-// reach a given power budget, rounded down so the assembly stays within
-// the budget (the section V-D "23 Arndale GPUs match 140 Watts"
-// construction). It returns at least 1 when even a single copy exceeds
-// the budget is false; if one copy already exceeds the budget it returns
-// 0 and an error.
-func PowerMatchWatts(small Params, budget units.Power) (int, error) {
-	ps := small.PeakAvgPower().Watts()
-	if ps <= 0 {
-		return 0, errors.New("model: machine has no peak power")
-	}
-	k := int(math.Floor(budget.Watts()/ps + 1e-9))
-	if k < 1 {
-		return 0, errors.New("model: one copy already exceeds the power budget")
-	}
-	return k, nil
-}

@@ -125,25 +125,6 @@ func TestPowerMatch(t *testing.T) {
 	}
 }
 
-func TestPowerMatchWatts(t *testing.T) {
-	arndale := arndaleGPUParams()
-	// Section V-D: 23 Arndale GPUs match a 140 W budget.
-	k, err := PowerMatchWatts(arndale, 140)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 22 && k != 23 {
-		t.Errorf("PowerMatchWatts(140) = %d, paper says 23", k)
-	}
-	if _, err := PowerMatchWatts(titanParams(), 10); err == nil {
-		t.Error("budget below one copy should error")
-	}
-	var zero Params
-	if _, err := PowerMatchWatts(zero, 100); err == nil {
-		t.Error("zero-power machine should error")
-	}
-}
-
 func TestMetricString(t *testing.T) {
 	if MetricFlopRate.String() != "flop/time" ||
 		MetricFlopsPerJoule.String() != "flop/energy" ||

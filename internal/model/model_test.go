@@ -379,17 +379,24 @@ func TestPredict(t *testing.T) {
 }
 
 // randomParams builds a plausible random machine from four arbitrary
-// float64s (testing/quick draws), for property tests.
+// float64s (testing/quick draws), for property tests. DeltaPi is drawn
+// relative to pi_flop + pi_mem, from 0.01 to 2 times it, so about half
+// the machines are capped and many have a two-sided cap interval
+// 0 < B_tau^- < B_tau^+ < Inf; an absolute draw of watts would dwarf
+// the sub-watt pi_flop + pi_mem these rates give and leave nearly every
+// machine Powerful.
 func randomParams(a, b, c, d float64) Params {
 	u := mantissa
-	return Params{
+	p := Params{
 		TauFlop: units.TimePerFlop(1e-12 * (1 + 1e3*u(a))),
 		TauMem:  units.TimePerByte(1e-11 * (1 + 1e3*u(b))),
 		EpsFlop: units.EnergyPerFlop(1e-12 * (1 + 100*u(c))),
 		EpsMem:  units.EnergyPerByte(1e-11 * (1 + 100*u(d))),
 		Pi1:     units.Power(1 + 100*math.Mod(u(a)+u(b), 1)),
-		DeltaPi: units.Power(1 + 200*math.Mod(u(c)+u(d), 1)),
 	}
+	full := p.PiFlop().Watts() + p.PiMem().Watts()
+	p.DeltaPi = units.Power((0.01 + 1.99*math.Mod(u(c)+u(d), 1)) * full)
+	return p
 }
 
 // finMod maps an arbitrary float64, non-finite ones included, onto
@@ -522,28 +529,84 @@ func TestQuickHomogeneity(t *testing.T) {
 	}
 }
 
+// dominates reports whether r names the largest term of eq. (3) at
+// intensity i, to within rounding.
+func dominates(p Params, i units.Intensity, r Regime) bool {
+	w := units.Flops(1e9)
+	q := i.Bytes(w)
+	tFlop := float64(w) * float64(p.TauFlop)
+	tMem := float64(q) * float64(p.TauMem)
+	tCap := (float64(w)*float64(p.EpsFlop) + float64(q)*float64(p.EpsMem)) / float64(p.DeltaPi)
+	tMax := math.Max(tFlop, math.Max(tMem, tCap))
+	const tol = 1 + 1e-9
+	switch r {
+	case ComputeBound:
+		return tFlop*tol >= tMax
+	case MemoryBound:
+		return tMem*tol >= tMax
+	case CapBound:
+		return tCap*tol >= tMax
+	}
+	return false
+}
+
 // Property: regime classification agrees with which term of eq. (3)
 // actually dominates.
 func TestQuickRegimeConsistency(t *testing.T) {
 	f := func(a, b, c, d, ii float64) bool {
 		p := randomParams(a, b, c, d)
 		i := units.Intensity(math.Exp(finMod(ii, 10)))
-		w := units.Flops(1e9)
-		q := i.Bytes(w)
-		tFlop := float64(w) * float64(p.TauFlop)
-		tMem := float64(q) * float64(p.TauMem)
-		tCap := (float64(w)*float64(p.EpsFlop) + float64(q)*float64(p.EpsMem)) / float64(p.DeltaPi)
-		tMax := math.Max(tFlop, math.Max(tMem, tCap))
-		const tol = 1 + 1e-9
-		switch p.RegimeAt(i) {
-		case ComputeBound:
-			return tFlop*tol >= tMax
-		case MemoryBound:
-			return tMem*tol >= tMax
-		case CapBound:
-			return tCap*tol >= tMax
+		return dominates(p, i, p.RegimeAt(i))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: the regimes switch exactly at the balance points, in
+// Params and in Kernel alike. A Powerful machine is compute-bound from
+// B_tau on and memory-bound one float below it. A capped one is
+// memory-bound up to B_tau^- inclusive and cap-bound one float above
+// it (when B_tau^- > 0), compute-bound from B_tau^+ on and cap-bound one
+// float below it (when B_tau^+ is finite). Just off each switch point,
+// at B(1 ± 1e-6), the regime names the largest term of eq. (3).
+func TestQuickRegimeBoundaries(t *testing.T) {
+	f := func(a, b, c, d float64) bool {
+		p := randomParams(a, b, c, d)
+		k := NewKernel(p)
+		type point struct {
+			iv   float64
+			want Regime
 		}
-		return false
+		var pts []point
+		var edges []float64
+		if bt := p.TimeBalance().Ratio(); p.Powerful() {
+			pts = append(pts, point{bt, ComputeBound}, point{math.Nextafter(bt, 0), MemoryBound})
+			edges = append(edges, bt)
+		} else {
+			if lo := p.TimeBalanceMinus().Ratio(); lo > 0 {
+				pts = append(pts, point{lo, MemoryBound}, point{math.Nextafter(lo, math.Inf(1)), CapBound})
+				edges = append(edges, lo)
+			}
+			if hi := p.TimeBalancePlus().Ratio(); !math.IsInf(hi, 1) {
+				pts = append(pts, point{hi, ComputeBound}, point{math.Nextafter(hi, 0), CapBound})
+				edges = append(edges, hi)
+			}
+		}
+		for _, pt := range pts {
+			if p.RegimeAt(units.Intensity(pt.iv)) != pt.want || k.RegimeAt(pt.iv) != pt.want {
+				return false
+			}
+		}
+		for _, e := range edges {
+			for _, iv := range []float64{e * (1 - 1e-6), e * (1 + 1e-6)} {
+				r := p.RegimeAt(units.Intensity(iv))
+				if k.RegimeAt(iv) != r || !dominates(p, units.Intensity(iv), r) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)

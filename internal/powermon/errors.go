@@ -21,17 +21,10 @@ var (
 	ErrPermanent = errors.New("permanent measurement error")
 )
 
-// Transient sentinels: conditions the paper's lab notebook records as
-// "re-run the measurement".
-var (
-	// ErrCalibrationZero reports a calibration channel reading zero
-	// power: a glitched shunt read during the reference load.
-	ErrCalibrationZero = fmt.Errorf("powermon: calibration channel read zero power: %w", ErrTransient)
-
-	// ErrDisconnect reports the meter link dropping mid-recording (USB
-	// hiccup, buffer overrun); the run must be repeated.
-	ErrDisconnect = fmt.Errorf("powermon: meter disconnected mid-record: %w", ErrTransient)
-)
+// ErrDisconnect reports the meter link dropping mid-recording (USB
+// hiccup, buffer overrun): the transient condition the paper's lab
+// notebook records as "re-run the measurement".
+var ErrDisconnect = fmt.Errorf("powermon: meter disconnected mid-record: %w", ErrTransient)
 
 // Permanent sentinels: meter and request misconfiguration.
 var (
@@ -42,7 +35,6 @@ var (
 	ErrBadShareSum     = fmt.Errorf("powermon: channel shares must sum to 1: %w", ErrPermanent)
 	ErrBadDuration     = fmt.Errorf("powermon: duration must be positive: %w", ErrPermanent)
 	ErrNilSignal       = fmt.Errorf("powermon: nil signal: %w", ErrPermanent)
-	ErrBadReference    = fmt.Errorf("powermon: reference power must be positive: %w", ErrPermanent)
 	ErrEmptyTrace      = fmt.Errorf("powermon: empty trace: %w", ErrPermanent)
 	ErrMalformedTrace  = fmt.Errorf("powermon: malformed trace row: %w", ErrPermanent)
 	// ErrTraceTooLong reports a run that would record more than

@@ -146,8 +146,8 @@ func TestQualityMergeKeepsWorst(t *testing.T) {
 }
 
 func TestTransientClassification(t *testing.T) {
-	if !IsTransient(ErrDisconnect) || !IsTransient(ErrCalibrationZero) {
-		t.Error("disconnect and calibration glitches must be transient")
+	if !IsTransient(ErrDisconnect) {
+		t.Error("a meter disconnect must be transient")
 	}
 	for _, err := range []error{ErrNoChannels, ErrBadDuration, ErrNilSignal, ErrEmptyTrace} {
 		if IsTransient(err) {

@@ -230,7 +230,7 @@ func (s *Server) fitJob(spec fitSpec) jobs.Func {
 		if spec.sweepPoints > 0 {
 			cfg.SweepPoints = spec.sweepPoints
 		}
-		simOpts := sim.Options{Seed: spec.seed, Sanitize: true}
+		simOpts := sim.Options{Seed: spec.seed}
 		if spec.prof.Enabled() {
 			simOpts.Faults = faults.New(spec.prof, spec.faultSeed)
 		}

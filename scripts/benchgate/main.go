@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 )
 
@@ -108,13 +109,7 @@ func run(benchPath, budgetPath string) error {
 	for k := range bud.AllocsCeilings {
 		keys = append(keys, k)
 	}
-	for i := 0; i < len(keys); i++ {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
+	sort.Strings(keys)
 	for _, key := range keys {
 		ceiling := bud.AllocsCeilings[key]
 		recs := findAll(&doc, key)

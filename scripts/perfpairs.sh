@@ -21,7 +21,7 @@
 #
 # Usage:
 #   scripts/perfpairs.sh PARENT WORKLOAD [PAIRS] [SECONDS] [SEED]
-#   make perfpairs PARENT=HEAD~1 WORKLOAD=dashboard PAIRS=10 SECONDS=30 SEED=1
+#   make perfpairs PARENT=HEAD~1 WORKLOAD=dashboard PAIRS=10 RUN_SECONDS=30 SEED=1
 #
 # Defaults: PAIRS 10, SECONDS 30 (BENCHMARK.json's run_seconds), SEED 1.
 # Every run's output is kept under .bench_build/perfpairs/. A run with
