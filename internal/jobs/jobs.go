@@ -321,15 +321,18 @@ func (e *Engine) finish(j *job, res any, err error) {
 		e.failed.Add(1)
 	}
 	j.ended = e.clock()
-	state := j.state
-	e.mu.Unlock()
-	j.cancel() // release the context's resources on every path
-	attrs := map[string]any{"state": state.String()}
+	attrs := map[string]any{"state": j.state.String()}
 	if err != nil {
 		attrs["error"] = err.Error()
 	}
+	// The final event goes out before e.mu is released, so no snapshot
+	// shows the terminal state without it. emit and close take only
+	// p.mu, which snapshotLocked already nests inside e.mu, and emit
+	// never blocks.
 	j.prog.emit("state", attrs)
 	j.prog.close()
+	e.mu.Unlock()
+	j.cancel() // release the context's resources on every path
 }
 
 // snapshotLocked copies a job's visible state; the caller holds e.mu.

@@ -504,3 +504,51 @@ func TestConcurrentSubmitPollCancel(t *testing.T) {
 		t.Errorf("terminal counts %d+%d+%d != %d", st.Done, st.Failed, st.Canceled, n)
 	}
 }
+
+// TestTerminalSnapshotCountsFinalEvent: a snapshot that reports a
+// terminal state already counts the final state event. Two pollers
+// race Get against many jobs finishing at once; each job emits queued,
+// running and state, so every terminal snapshot must read Events = 3.
+func TestTerminalSnapshotCountsFinalEvent(t *testing.T) {
+	const n = 256
+	e := New(Config{Workers: 4, QueueDepth: n})
+	defer e.Close(context.Background())
+	release := make(chan struct{})
+	ids := make([]string, n)
+	for i := range ids {
+		id, err := e.Submit(context.Background(), "quick", func(ctx context.Context, p *Progress) (any, error) {
+			<-release
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatalf("Submit %d: %v", i, err)
+		}
+		ids[i] = id
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pending := append([]string(nil), ids...)
+			deadline := time.Now().Add(10 * time.Second)
+			for len(pending) > 0 && time.Now().Before(deadline) {
+				kept := pending[:0]
+				for _, id := range pending {
+					snap, _ := e.Get(id)
+					if !snap.State.Terminal() {
+						kept = append(kept, id)
+					} else if snap.Events != 3 {
+						t.Errorf("job %s: %v snapshot counts %d events, want 3", id, snap.State, snap.Events)
+					}
+				}
+				pending = kept
+			}
+			if len(pending) > 0 {
+				t.Errorf("%d jobs not terminal after 10 s", len(pending))
+			}
+		}()
+	}
+	close(release)
+	wg.Wait()
+}

@@ -9,9 +9,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestBatchDuplicateItemsSingleEval is the batch dedup acceptance test:
@@ -261,12 +263,12 @@ func TestSweepStreamValidation(t *testing.T) {
 	wantError(t, status, out, http.StatusNotFound, "not_found")
 }
 
-// encodedGet performs a GET with an explicit Accept-Encoding, which
+// encodedDo sends a request with an explicit Accept-Encoding, which
 // keeps the Go client's transparent decompression out of the way, and
-// returns the raw response with its body read.
-func encodedGet(t *testing.T, url, acceptEncoding string) (*http.Response, []byte) {
+// returns the raw response with its body read as sent.
+func encodedDo(t *testing.T, method, url, body, acceptEncoding string) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, url, nil)
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +278,11 @@ func encodedGet(t *testing.T, url, acceptEncoding string) (*http.Response, []byt
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	out, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp, body
+	return resp, out
 }
 
 // TestGzipNegotiation: a large buffered response compresses when asked,
@@ -295,7 +297,7 @@ func TestGzipNegotiation(t *testing.T) {
 	var zipped [2][]byte
 	var evals [2]int64
 	for i := range zipped {
-		resp, body := encodedGet(t, url, "gzip")
+		resp, body := encodedDo(t, http.MethodGet, url, "", "gzip")
 		if ce := resp.Header.Get("Content-Encoding"); ce != "gzip" {
 			t.Fatalf("GET %d: Content-Encoding = %q, want gzip", i, ce)
 		}
@@ -314,7 +316,7 @@ func TestGzipNegotiation(t *testing.T) {
 		t.Errorf("second gzip GET ran the model: evals %d -> %d", evals[0], evals[1])
 	}
 
-	resp, plain := encodedGet(t, url, "identity")
+	resp, plain := encodedDo(t, http.MethodGet, url, "", "identity")
 	if ce := resp.Header.Get("Content-Encoding"); ce != "" {
 		t.Errorf("plain GET: Content-Encoding = %q, want identity", ce)
 	}
@@ -337,7 +339,7 @@ func TestGzipNegotiation(t *testing.T) {
 	}
 
 	// An explicit q=0 refuses gzip even though the token is present.
-	if resp, body := encodedGet(t, url, "gzip;q=0"); resp.Header.Get("Content-Encoding") != "" || !bytes.Equal(body, plain) {
+	if resp, body := encodedDo(t, http.MethodGet, url, "", "gzip;q=0"); resp.Header.Get("Content-Encoding") != "" || !bytes.Equal(body, plain) {
 		t.Errorf("q=0 GET: Content-Encoding = %q, want the identity body", resp.Header.Get("Content-Encoding"))
 	}
 }
@@ -345,49 +347,198 @@ func TestGzipNegotiation(t *testing.T) {
 // TestGzipSkipsSmallBodies: tiny responses are cheaper raw than framed.
 func TestGzipSkipsSmallBodies(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, _ := encodedGet(t, ts.URL+"/healthz", "gzip")
+	resp, _ := encodedDo(t, http.MethodGet, ts.URL+"/healthz", "", "gzip")
 	if ce := resp.Header.Get("Content-Encoding"); ce != "" {
 		t.Errorf("Content-Encoding = %q for a tiny body, want identity", ce)
 	}
 }
 
+// gunzip decodes a whole gzip member; gzip.Reader checks its CRC-32
+// and ISIZE at the end.
+func gunzip(t *testing.T, zipped []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(zipped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestSweepStreamGzip: the NDJSON stream compresses end to end and
-// still parses line by line after decompression; gzip and plain streams
-// alike carry Vary.
+// decodes to the identity body of the same request, byte for byte,
+// from a stream under one segment to the benchmark's largest shapes,
+// which are deflated in parallel segments. Gzip and plain streams alike
+// carry Vary.
 func TestSweepStreamGzip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, ae := range []string{"gzip", "identity"} {
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep/stream",
-			strings.NewReader(`{"platform_id":"gtx-titan","points":2000,"chunk_points":500}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Accept-Encoding", ae)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
-			t.Errorf("%s stream: Vary = %q, want Accept-Encoding", ae, vary)
-		}
-		var body io.Reader = resp.Body
-		ce := resp.Header.Get("Content-Encoding")
-		if ae == "gzip" {
-			if ce != "gzip" {
-				t.Fatalf("gzip stream: Content-Encoding = %q, want gzip", ce)
+	type shape struct {
+		points, chunk int
+		precision     string
+	}
+	shapes := []shape{{2000, 500, "single"}}
+	for _, points := range []int{8192, 32768, 65536} {
+		for _, chunk := range []int{256, 4096} {
+			for _, precision := range []string{"single", "double"} {
+				shapes = append(shapes, shape{points, chunk, precision})
 			}
-			if body, err = gzip.NewReader(resp.Body); err != nil {
-				t.Fatal(err)
+		}
+	}
+	for _, sh := range shapes {
+		name := fmt.Sprintf("%d/%d/%s", sh.points, sh.chunk, sh.precision)
+		body := fmt.Sprintf(`{"platform_id":"gtx-titan","precision":%q,"imin":0.001,"imax":1000,"points":%d,"chunk_points":%d}`,
+			sh.precision, sh.points, sh.chunk)
+		var bodies [2][]byte
+		for i, ae := range []string{"gzip", "identity"} {
+			resp, out := encodedDo(t, http.MethodPost, ts.URL+"/v1/sweep/stream", body, ae)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s stream: status %d: %s", name, ae, resp.StatusCode, out)
 			}
-		} else if ce != "" {
-			t.Fatalf("identity stream: Content-Encoding = %q, want none", ce)
+			if vary := resp.Header.Get("Vary"); !strings.Contains(vary, "Accept-Encoding") {
+				t.Errorf("%s %s stream: Vary = %q, want Accept-Encoding", name, ae, vary)
+			}
+			ce := resp.Header.Get("Content-Encoding")
+			if ae == "gzip" {
+				if ce != "gzip" {
+					t.Fatalf("%s gzip stream: Content-Encoding = %q, want gzip", name, ce)
+				}
+				out = gunzip(t, out)
+			} else if ce != "" {
+				t.Fatalf("%s identity stream: Content-Encoding = %q, want none", name, ce)
+			}
+			bodies[i] = out
 		}
-		_, chunks, trailer := readStream(t, body)
-		if len(chunks) != 4 || !trailer.Done || trailer.Points != 2000 {
-			t.Errorf("%s stream: got %d chunks, trailer %+v; want 4 chunks done with 2000 points", ae, len(chunks), trailer)
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("%s: gzip stream decodes to %d bytes, identity stream is %d bytes", name, len(bodies[0]), len(bodies[1]))
 		}
+		// The chunks' points are the golden tests' business: count the
+		// lines and read the trailer.
+		lines := bytes.Split(bytes.TrimSuffix(bodies[1], []byte("\n")), []byte("\n"))
+		var trailer streamTrailer
+		if err := json.Unmarshal(lines[len(lines)-1], &trailer); err != nil {
+			t.Fatalf("%s: bad trailer: %v", name, err)
+		}
+		if want := (sh.points + sh.chunk - 1) / sh.chunk; len(lines) != want+2 || !trailer.Done || trailer.Chunks != want || trailer.Points != sh.points {
+			t.Errorf("%s: got %d lines, trailer %+v; want %d chunks done with %d points", name, len(lines), trailer, want, sh.points)
+		}
+	}
+}
+
+// flushRecorder records how many body bytes had been written at each
+// Flush.
+type flushRecorder struct {
+	*httptest.ResponseRecorder
+	flushed []int
+}
+
+func (f *flushRecorder) Flush() {
+	f.flushed = append(f.flushed, f.Body.Len())
+	f.ResponseRecorder.Flush()
+}
+
+// TestSweepStreamGzipHeaderFirst: the first flushed bytes of a stream
+// large enough for parallel segments decode to exactly the header line,
+// sent before any point is computed.
+func TestSweepStreamGzipHeaderFirst(t *testing.T) {
+	h := New(Config{}).Handler()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep/stream",
+		strings.NewReader(`{"platform_id":"gtx-titan","imin":0.001,"imax":1000,"points":32768,"chunk_points":256}`))
+	req.Header.Set("Accept-Encoding", "gzip")
+	rec := &flushRecorder{ResponseRecorder: httptest.NewRecorder()}
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || len(rec.flushed) == 0 {
+		t.Fatalf("status %d after %d flushes: %s", rec.Code, len(rec.flushed), rec.Body)
+	}
+	whole := gunzip(t, rec.Body.Bytes())
+	if len(whole) <= 2*segmentBytes {
+		t.Fatalf("stream is %d raw bytes, want more than two segments", len(whole))
+	}
+	header, _, _ := bytes.Cut(whole, []byte("\n"))
+	zr, err := gzip.NewReader(bytes.NewReader(rec.Body.Bytes()[:rec.flushed[0]]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The member is unfinished at the first flush, so the reader ends
+	// in io.ErrUnexpectedEOF after handing over what was flushed.
+	first, err := io.ReadAll(zr)
+	if err != io.ErrUnexpectedEOF {
+		t.Errorf("reading the first flush: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if want := append(header, '\n'); !bytes.Equal(first, want) {
+		t.Errorf("first flush decodes to %q, want the header line %q", first, want)
+	}
+}
+
+// TestSweepStreamDeadlineGzip: a gzip stream that outlives its request
+// deadline still ends in a decodable member whose last line is the
+// error trailer, after every chunk its in-flight segments held.
+func TestSweepStreamDeadlineGzip(t *testing.T) {
+	_, ts := newTestServer(t, Config{RequestTimeout: time.Second})
+	resp, out := encodedDo(t, http.MethodPost, ts.URL+"/v1/sweep/stream",
+		fmt.Sprintf(`{"platform_id":"gtx-titan","points":%d,"chunk_points":256}`, streamMaxPoints), "gzip")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, out)
+	}
+	raw := gunzip(t, out)
+	if len(raw) <= segmentBytes {
+		t.Fatalf("stream is %d raw bytes before its deadline, want more than one segment", len(raw))
+	}
+	_, chunks, trailer := readStream(t, bytes.NewReader(raw))
+	points := 0
+	for _, c := range chunks {
+		points += len(c.Points)
+	}
+	if trailer.Done || trailer.Error == nil || trailer.Error.Code != "deadline_exceeded" {
+		t.Fatalf("trailer = %+v, want a deadline_exceeded error", trailer)
+	}
+	if trailer.Chunks != len(chunks) || trailer.Points != points {
+		t.Errorf("trailer counts %d chunks / %d points, the stream holds %d / %d", trailer.Chunks, trailer.Points, len(chunks), points)
+	}
+}
+
+// TestSweepStreamDisconnectJoinsDeflaters: a client that hangs up
+// partway through a large gzip stream leaves no goroutine behind once
+// the handler has returned; the writer's Close joins its deflaters.
+func TestSweepStreamDisconnectJoinsDeflaters(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ts := httptest.NewServer(New(Config{}).Handler())
+	tr := &http.Transport{}
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep/stream",
+		strings.NewReader(`{"platform_id":"gtx-titan","imin":0.001,"imax":1000,"points":65536,"chunk_points":256}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept-Encoding", "gzip")
+	resp, err := tr.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A quarter megabyte of deflated stream reaches past the serial part
+	// (about 100 KB deflated), into the segments.
+	if _, err := io.CopyN(io.Discard, resp.Body, 256<<10); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ts.Close() // returns once the handler has
+	// Each deflater gives its slot back before handing over its segment,
+	// so once Close has joined them all, no slot is held.
+	if n := len(deflateSlots); n != 0 {
+		t.Errorf("%d deflaters still running after the handler returned", n)
+	}
+	tr.CloseIdleConnections()
+	// The bound is the count before the request: connection goroutines
+	// exit shortly after the server closes, so wait a little for them.
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Errorf("%d goroutines after the stream, %d before it", n, before)
 	}
 }
 

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
-	"compress/gzip"
+	"compress/flate"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,25 +19,262 @@ import (
 // saving. Error envelopes and small query responses go out raw.
 const gzipMinBytes = 1024
 
-// gzipLevel is the one compression level archlined writes at, chosen by
-// a rule: the fastest level whose ratio is within 2% of
-// gzip.DefaultCompression on BenchmarkGzipLevels' stream body. On an
-// Intel Xeon @ 2.10GHz (2 vCPU) level 4 costs 21.0 ns/byte at ratio
-// 5.41, against 30.3 ns/byte at 5.47 for the default; level 3 and
-// BestSpeed give up 4% and 11% of the ratio. DESIGN.md §10 has the
-// table; TestGzipLevelRatio pins the 2% bound.
+// gzipLevel is the one compression level archlined writes at, serial
+// and segmented alike, chosen by a rule: the fastest level whose ratio
+// is within 2% of gzip.DefaultCompression on BenchmarkGzipLevels'
+// stream body. On an Intel Xeon @ 2.10GHz (2 vCPU) level 4 costs 21.0
+// ns/byte at ratio 5.41, against 30.3 ns/byte at 5.47 for the default;
+// level 3 and BestSpeed give up 4% and 11% of the ratio. DESIGN.md §10
+// has the table; TestGzipLevelRatio pins the 2% bound.
 const gzipLevel = 4
 
-// gzipWriters recycles compressors across requests; a gzip.Writer's
+// Parallel deflate, after pigz (https://zlib.net/pigz/). A gzip body is
+// deflated serially until segmentBytes of raw bytes have gone out; from
+// the next flush on it is cut, at the caller's flushes, into segments
+// of at least segmentBytes. Each segment is deflated on a goroutine of
+// its own, primed with the dictBytes before it (RFC 1951 preset
+// dictionary), and ends in a sync flush, so the segments concatenate
+// into one deflate stream inside one RFC 1952 member. Only large sweep
+// streams fill a segment; DESIGN.md §10 has the measurements.
+const (
+	// segmentBytes is the raw size of the serial part and the least raw
+	// size of a segment. Each segment pays one flate.NewWriterDict
+	// (about 800 KB); at 256 KiB that showed in daemon CPU, at 512 KiB
+	// and 1 MiB it did not.
+	segmentBytes = 512 << 10
+	// dictBytes is deflate's window: the most history a segment can
+	// refer back into.
+	dictBytes = 32 << 10
+	// segmentBufBytes is a segment buffer's full size: one segment plus
+	// the longest line a flush can add past it, a maxChunkPoints chunk
+	// (about 856 KB, at about 209 bytes a point).
+	segmentBufBytes = segmentBytes + maxChunkPoints*256
+)
+
+// gzipHeader is the member header compress/gzip writes for a Writer
+// with no name, comment, extra field or modification time: deflate, no
+// flags, XFL 0 (gzipLevel is neither BestSpeed nor BestCompression),
+// OS unknown.
+var gzipHeader = []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 255}
+
+// flateWriters recycles the serial deflaters; a flate.Writer's
 // allocation dwarfs a small response body.
-var gzipWriters = sync.Pool{
+var flateWriters = sync.Pool{
 	New: func() any {
-		zw, err := gzip.NewWriterLevel(io.Discard, gzipLevel)
+		fw, err := flate.NewWriter(io.Discard, gzipLevel)
 		if err != nil {
-			panic(err) // gzipLevel is a constant in gzip's range
+			panic(err) // gzipLevel is a constant in flate's range
 		}
-		return zw
+		return fw
 	},
+}
+
+// segmentBufs recycles segment buffers, taken at their full size so a
+// segment never grows by append. putSegment empties one on its way back.
+var segmentBufs = sync.Pool{
+	New: func() any {
+		b := make([]byte, 0, segmentBufBytes)
+		return &b
+	},
+}
+
+func putSegment(b *[]byte) {
+	*b = (*b)[:0]
+	segmentBufs.Put(b)
+}
+
+// deflateSlots holds one token per running segment deflater, at most
+// GOMAXPROCS server-wide: concurrent streams never run more deflaters
+// than there are cores, so CPU at saturation does not rise.
+var deflateSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// segmentWriter writes one gzip member. Below one segment its bytes
+// are compress/gzip's at gzipLevel for the same writes and flushes;
+// past it the body is deflated in segments on every core. It is for
+// one goroutine, which must Close it once: Close joins every deflater.
+type segmentWriter struct {
+	dst     io.Writer
+	segSize int // segmentBytes, smaller only in tests
+	crc     uint32
+	size    int // raw bytes written; ISIZE is it mod 2^32
+
+	serial *flate.Writer // the serial part's deflater; nil past it
+	seg    *[]byte       // the segment being filled, past the serial part
+	// tail ends with the last dictBytes of raw bytes once the body is
+	// within dictBytes of segSize; it is trimmed only when it reaches
+	// twice that, so keeping it costs O(1) a byte.
+	tail []byte
+	// inflight holds the segments handed to deflaters and not yet
+	// written, in body order: at most two per deflater slot, so the
+	// handler runs ahead of the deflaters by a bounded amount.
+	inflight []chan []byte
+	err      error
+}
+
+// newSegmentWriter writes a gzip member header to dst and returns the
+// writer of the member's body, whose serial part and segments are
+// segSize raw bytes or more.
+func newSegmentWriter(dst io.Writer, segSize int) *segmentWriter {
+	fw := flateWriters.Get().(*flate.Writer)
+	fw.Reset(dst)
+	z := &segmentWriter{dst: dst, segSize: segSize, serial: fw}
+	_, z.err = dst.Write(gzipHeader)
+	return z
+}
+
+// Write deflates p in the serial part, or appends it to the segment
+// being filled.
+func (z *segmentWriter) Write(p []byte) (int, error) {
+	if z.err != nil {
+		return 0, z.err
+	}
+	z.crc = crc32.Update(z.crc, crc32.IEEETable, p)
+	z.size += len(p)
+	if z.serial == nil {
+		*z.seg = append(*z.seg, p...)
+		return len(p), nil
+	}
+	if z.size > z.segSize-dictBytes {
+		z.keepTail(p)
+	}
+	n, err := z.serial.Write(p)
+	z.err = err
+	return n, err
+}
+
+// keepTail appends p to the tail.
+func (z *segmentWriter) keepTail(p []byte) {
+	if len(p) >= dictBytes {
+		z.tail = append(z.tail[:0], p[len(p)-dictBytes:]...)
+		return
+	}
+	if len(z.tail)+len(p) > 2*dictBytes {
+		z.tail = z.tail[:copy(z.tail, z.tail[len(z.tail)-dictBytes:])]
+	}
+	z.tail = append(z.tail, p...)
+}
+
+// Flush in the serial part is a deflate sync flush, as compress/gzip's,
+// and ends the serial part once it holds segSize raw bytes. Past it, a
+// flush cuts the segment once it holds segSize raw bytes, and writes
+// out the segments already deflated.
+func (z *segmentWriter) Flush() error {
+	if z.err != nil {
+		return z.err
+	}
+	if z.serial == nil {
+		if len(*z.seg) >= z.segSize {
+			z.cut(false)
+		}
+		z.drain(false)
+		return z.err
+	}
+	if z.err = z.serial.Flush(); z.err == nil && z.size >= z.segSize {
+		flateWriters.Put(z.serial)
+		z.serial = nil
+		z.seg = segmentBufs.Get().(*[]byte)
+	}
+	return z.err
+}
+
+// Close ends the member with a final deflate block, then the CRC-32
+// and ISIZE of the raw bytes. It returns once every deflater has, even
+// after a failed write.
+func (z *segmentWriter) Close() error {
+	if z.serial != nil {
+		if z.err == nil {
+			z.err = z.serial.Close()
+		}
+		flateWriters.Put(z.serial)
+		z.serial = nil
+	} else {
+		if z.err == nil {
+			z.cut(true)
+		}
+		if z.seg != nil { // never handed to a deflater: a write failed
+			putSegment(z.seg)
+			z.seg = nil
+		}
+		z.drain(true)
+	}
+	if z.err == nil {
+		var trailer [8]byte
+		binary.LittleEndian.PutUint32(trailer[:4], z.crc)
+		binary.LittleEndian.PutUint32(trailer[4:], uint32(z.size))
+		_, z.err = z.dst.Write(trailer[:])
+	}
+	return z.err
+}
+
+// cut hands the segment filled so far to a deflater of its own, after
+// writing out the oldest segments while the window is full. The last
+// segment ends the deflate stream.
+func (z *segmentWriter) cut(last bool) {
+	for len(z.inflight) >= 2*cap(deflateSlots) {
+		z.writeOldest(<-z.inflight[0])
+	}
+	if z.err != nil {
+		return // the client is gone: deflate no more
+	}
+	// The buffer goes back to the pool once deflated, maybe before the
+	// next segment is, so the dictionary is a copy.
+	dict := append([]byte(nil), z.tail[max(0, len(z.tail)-dictBytes):]...)
+	z.keepTail(*z.seg)
+	out := make(chan []byte, 1)
+	z.inflight = append(z.inflight, out)
+	go deflateSegment(z.seg, dict, last, out)
+	z.seg = nil
+	if !last {
+		z.seg = segmentBufs.Get().(*[]byte)
+	}
+}
+
+// drain writes out, in body order, the segments whose deflaters are
+// done; with wait set, it waits for every one.
+func (z *segmentWriter) drain(wait bool) {
+	for len(z.inflight) > 0 {
+		if wait {
+			z.writeOldest(<-z.inflight[0])
+			continue
+		}
+		select {
+		case out := <-z.inflight[0]:
+			z.writeOldest(out)
+		default:
+			return
+		}
+	}
+}
+
+// writeOldest writes out the oldest segment in flight, deflated.
+func (z *segmentWriter) writeOldest(deflated []byte) {
+	z.inflight = z.inflight[1:]
+	if z.err == nil {
+		_, z.err = z.dst.Write(deflated)
+	}
+}
+
+// deflateSegment deflates one segment in a deflater slot, primed with
+// dict, and sends the result on out. A sync flush ends it, or the final
+// block when last.
+func deflateSegment(raw *[]byte, dict []byte, last bool, out chan<- []byte) {
+	deflateSlots <- struct{}{}
+	var buf bytes.Buffer
+	buf.Grow(len(*raw) / 4)
+	fw, err := flate.NewWriterDict(&buf, gzipLevel, dict)
+	if err != nil {
+		panic(err) // gzipLevel is a constant in flate's range
+	}
+	// Writes to a bytes.Buffer cannot fail.
+	_, _ = fw.Write(*raw)
+	if last {
+		_ = fw.Close()
+	} else {
+		_ = fw.Flush()
+	}
+	<-deflateSlots
+	putSegment(raw)
+	out <- buf.Bytes()
 }
 
 // acceptsGzip reports whether the request negotiated gzip via
@@ -79,12 +319,11 @@ func qValue(params string) float64 {
 func (c *cachedResponse) gzipped() []byte {
 	c.gzipOnce.Do(func() {
 		buf := bytes.NewBuffer(make([]byte, 0, len(c.body)/4))
-		zw := gzipWriters.Get().(*gzip.Writer)
-		zw.Reset(buf)
-		// Writes to a bytes.Buffer cannot fail.
+		zw := newSegmentWriter(buf, segmentBytes)
+		// Writes to a bytes.Buffer cannot fail, and with no flush the
+		// body is deflated serially.
 		_, _ = zw.Write(c.body)
 		_ = zw.Close()
-		gzipWriters.Put(zw)
 		c.gzipBody = buf.Bytes()
 	})
 	return c.gzipBody
@@ -113,10 +352,10 @@ func writeResponseNegotiated(w http.ResponseWriter, r *http.Request, resp *cache
 
 // ndjsonWriter is the body of a streamed NDJSON response: lines written
 // to it go through the gzip frame when the client negotiated one, and
-// Flush pushes everything written so far on to the client.
+// Flush pushes them on to the client.
 type ndjsonWriter struct {
 	io.Writer // the gzip writer, or the ResponseWriter itself
-	gz        *gzip.Writer
+	gz        *segmentWriter
 	flusher   http.Flusher
 }
 
@@ -126,21 +365,25 @@ func startNDJSON(w http.ResponseWriter, r *http.Request) *ndjsonWriter {
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Add("Vary", "Accept-Encoding")
-	out := &ndjsonWriter{Writer: w}
-	if acceptsGzip(r) {
+	gz := acceptsGzip(r)
+	if gz {
 		h.Set("Content-Encoding", "gzip")
-		out.gz = gzipWriters.Get().(*gzip.Writer)
-		out.gz.Reset(w)
-		out.Writer = out.gz
 	}
 	w.WriteHeader(http.StatusOK)
+	out := &ndjsonWriter{Writer: w}
+	if gz {
+		out.gz = newSegmentWriter(w, segmentBytes)
+		out.Writer = out.gz
+	}
 	out.flusher, _ = w.(http.Flusher)
 	return out
 }
 
 // Flush pushes the lines written so far to the client: through the gzip
-// frame first, then the HTTP chunked writer. A failed flush means the
-// client went away; the stream's trailer protocol is its error channel.
+// frame first, then the HTTP chunked writer. Past the serial part, the
+// gzip frame holds a segment's lines until the segment is cut and
+// deflated. A failed flush means the client went away; the stream's
+// trailer protocol is its error channel.
 func (o *ndjsonWriter) Flush() {
 	if o.gz != nil {
 		_ = o.gz.Flush()
@@ -150,11 +393,10 @@ func (o *ndjsonWriter) Flush() {
 	}
 }
 
-// Close ends the gzip frame, if any, and returns its writer to the pool.
+// Close ends the gzip frame, if any, once every segment is written.
 func (o *ndjsonWriter) Close() {
 	if o.gz != nil {
 		_ = o.gz.Close()
-		gzipWriters.Put(o.gz)
 		o.gz = nil
 	}
 }

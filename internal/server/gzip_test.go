@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -48,11 +49,25 @@ func (c *countWriter) Write(p []byte) (int, error) {
 }
 
 // gzipSize compresses body with zw and returns the compressed size.
-// perLine flushes after every NDJSON line, as startNDJSON sends a
-// stream; otherwise the body goes in one write, as gzipped encodes it.
 func gzipSize(zw *gzip.Writer, body []byte, perLine bool) int {
 	var n countWriter
 	zw.Reset(&n)
+	writeLines(zw, body, perLine)
+	return int(n)
+}
+
+// lineWriter is a gzip writer: compress/gzip's or a segmentWriter.
+type lineWriter interface {
+	io.Writer
+	Flush() error
+	Close() error
+}
+
+// writeLines writes body to zw and closes it. perLine flushes after
+// every NDJSON line, as startNDJSON sends a stream; otherwise the body
+// goes in one write, as gzipped encodes it. The writers' destinations
+// cannot fail.
+func writeLines(zw lineWriter, body []byte, perLine bool) {
 	for len(body) > 0 {
 		i := len(body)
 		if perLine {
@@ -60,7 +75,6 @@ func gzipSize(zw *gzip.Writer, body []byte, perLine bool) int {
 				i = j + 1
 			}
 		}
-		// Writes to a countWriter cannot fail.
 		_, _ = zw.Write(body[:i])
 		if perLine {
 			_ = zw.Flush()
@@ -68,7 +82,6 @@ func gzipSize(zw *gzip.Writer, body []byte, perLine bool) int {
 		body = body[i:]
 	}
 	_ = zw.Close()
-	return int(n)
 }
 
 func newGzipWriter(tb testing.TB, level int) *gzip.Writer {
@@ -103,6 +116,148 @@ func TestGzipLevelRatio(t *testing.T) {
 	if again := resp.gzipped(); &again[0] != &first[0] {
 		t.Error("second gzipped() call compressed the body again")
 	}
+}
+
+// TestSegmentWriterBytes: below one segment the segment writer writes
+// compress/gzip's bytes at gzipLevel for the same writes and flushes,
+// which covers cached bodies, job events and small sweeps. Past it, the
+// segments decode to the body and cost at most 1% of wire size against
+// the serial per-line encoding.
+func TestSegmentWriterBytes(t *testing.T) {
+	corpus := gzipCorpus(t)
+	h := New(Config{}).Handler()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep/stream",
+		strings.NewReader(`{"platform_id":"xeon-phi","precision":"double","points":2000,"chunk_points":500}`))
+	req.Header.Set("Accept-Encoding", "identity")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	events := []byte(`{"job":"5f1c","name":"fit","state":"running","replay":2}
+{"seq":1,"name":"queued","attrs":{"job":"5f1c","name":"fit"}}
+{"seq":2,"name":"running"}
+{"seq":3,"name":"suite.done","attrs":{"kernels":24}}
+{"seq":4,"name":"state","attrs":{"state":"done"}}
+{"done":true,"state":"done","events":4}
+`)
+	for _, c := range []gzipBody{corpus[1], {"small stream", rec.Body.Bytes(), true}, {"job events", events, true}} {
+		if len(c.data) >= segmentBytes {
+			t.Fatalf("%s body is %d bytes, want under one segment", c.name, len(c.data))
+		}
+		var got, want bytes.Buffer
+		writeLines(newSegmentWriter(&got, segmentBytes), c.data, c.perLine)
+		zw := newGzipWriter(t, gzipLevel)
+		zw.Reset(&want)
+		writeLines(zw, c.data, c.perLine)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: segment writer wrote %d bytes, compress/gzip %d different ones", c.name, got.Len(), want.Len())
+		}
+	}
+
+	stream := corpus[0].data
+	var segmented bytes.Buffer
+	writeLines(newSegmentWriter(&segmented, segmentBytes), stream, true)
+	if got := gunzip(t, segmented.Bytes()); !bytes.Equal(got, stream) {
+		t.Fatalf("segmented stream decodes to %d bytes, want the %d-byte body", len(got), len(stream))
+	}
+	serial := gzipSize(newGzipWriter(t, gzipLevel), stream, true)
+	t.Logf("stream: %d bytes raw, %d segmented, %d serial", len(stream), segmented.Len(), serial)
+	if float64(segmented.Len()) > 1.01*float64(serial) {
+		t.Errorf("segmented stream is %d bytes, over 1.01x the serial %d", segmented.Len(), serial)
+	}
+}
+
+// failAfter accepts that many bytes, then fails every write, as a
+// connection whose client has gone.
+type failAfter int
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > int(*f) {
+		return 0, errors.New("client gone")
+	}
+	*f -= failAfter(len(p))
+	return len(p), nil
+}
+
+// TestSegmentWriterJoinsAfterFailedWrite: when a segment's write fails
+// with others in flight, the writer reports the error and Close still
+// returns only once every deflater has, so none holds a slot after it;
+// and the buffers it gives back leave the next stream intact.
+func TestSegmentWriterJoinsAfterFailedWrite(t *testing.T) {
+	corpus := gzipCorpus(t)[0].data
+	// Four times the corpus stream: more segments than the window holds.
+	stream := bytes.Repeat(corpus, 4)
+	dst := failAfter(150 << 10) // past the serial part, inside the first segment
+	zw := newSegmentWriter(&dst, segmentBytes)
+	var err error
+	for body := stream; len(body) > 0 && err == nil; {
+		i := bytes.IndexByte(body, '\n') + 1
+		if _, err = zw.Write(body[:i]); err == nil {
+			err = zw.Flush()
+		}
+		body = body[i:]
+	}
+	if err == nil {
+		t.Fatalf("a %d-byte stream never reached the failing write", len(stream))
+	}
+	if cerr := zw.Close(); cerr == nil {
+		t.Error("Close after a failed write reported no error")
+	}
+	if n := len(deflateSlots); n != 0 {
+		t.Errorf("%d deflaters still running after Close", n)
+	}
+	var next bytes.Buffer
+	writeLines(newSegmentWriter(&next, segmentBytes), corpus, true)
+	if got := gunzip(t, next.Bytes()); !bytes.Equal(got, corpus) {
+		t.Errorf("the stream after a failed one decodes to %d bytes, want the %d-byte body", len(got), len(corpus))
+	}
+}
+
+// FuzzSegmentWriter holds the segment writer to compress/gzip on an
+// arbitrary body, written in arbitrary pieces with arbitrary flushes at
+// a segment size small enough to cut it: gzip.Reader, which checks the
+// CRC-32 and ISIZE, must return the body exactly, and below one segment
+// the bytes must be compress/gzip's. Each splits byte is one write of
+// 1 + s>>1 bytes, flushed when s is odd, used in turn; repeat copies
+// the body so short inputs reach past the 32 KiB dictionary.
+func FuzzSegmentWriter(f *testing.F) {
+	f.Add([]byte(`{"seq":0,"points":[{"intensity":0.5,"regime":"M"}]}`+"\n"), []byte{1, 9, 200}, uint16(100), uint8(0))
+	f.Add([]byte("abcdefgh"), []byte{255}, uint16(40000), uint8(127))
+	f.Fuzz(func(t *testing.T, body, splits []byte, seg uint16, repeat uint8) {
+		body = bytes.Repeat(body, 1+int(repeat))
+		// At least len/32: each segment costs a deflater's allocation.
+		segSize := max(1+int(seg), len(body)/32)
+		var got, want bytes.Buffer
+		zw := newSegmentWriter(&got, segSize)
+		ref := newGzipWriter(t, gzipLevel)
+		ref.Reset(&want)
+		for i, rest := 0, body; len(rest) > 0; i++ {
+			n, flush := len(rest), false
+			if len(splits) > 0 {
+				s := splits[i%len(splits)]
+				n, flush = min(n, 1+int(s>>1)), s&1 == 1
+			}
+			for _, w := range []lineWriter{zw, ref} {
+				if _, err := w.Write(rest[:n]); err != nil {
+					t.Fatal(err)
+				}
+				if flush {
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rest = rest[n:]
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_ = ref.Close()
+		if out := gunzip(t, got.Bytes()); !bytes.Equal(out, body) {
+			t.Fatalf("decodes to %d bytes, want the %d-byte body", len(out), len(body))
+		}
+		if len(body) < segSize && !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("below one segment: %d bytes, compress/gzip wrote %d different ones", got.Len(), want.Len())
+		}
+	})
 }
 
 // BenchmarkGzipLevels is the level table gzipLevel is chosen from: CPU

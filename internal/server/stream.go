@@ -63,8 +63,12 @@ type streamTrailer struct {
 
 // handleSweepStream serves POST /v1/sweep/stream: an arbitrarily large
 // roofline sweep as newline-delimited JSON, flushed chunk by chunk so
-// server memory stays constant in the grid size (one chunk buffered,
-// never the full response) and clients can start consuming immediately.
+// server memory is bounded whatever the grid size and clients can start
+// consuming immediately. An identity stream holds one chunk. A gzip
+// stream goes out line by line until its first segmentBytes; past
+// that, the writer holds each segment of at least segmentBytes until
+// it is cut and deflated, with at most 2×GOMAXPROCS in flight (gzip.go).
+// The header line is always flushed before any point is computed.
 // Responses are not cached — the stream is recomputed per request and
 // counts as one model evaluation.
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any, *apiError) {

@@ -18,13 +18,15 @@ echo "ci: check"
 ./scripts/check.sh
 
 echo "ci: fuzz"
-# Short runs: the NDJSON chunk encoder against encoding/json,
-# stats.Select against sort-then-index, the platform description's
-# decode/encode round trip, arbitrary /v1 request bodies against the
-# no-5xx contract, and arbitrary registry blobs through the recovery
-# scan's verification. A failing input is written under the package's
-# testdata/fuzz/ and then replays in every go test run.
+# Short runs: the NDJSON chunk encoder against encoding/json, the
+# segmented gzip writer against compress/gzip, stats.Select against
+# sort-then-index, the platform description's decode/encode round trip,
+# arbitrary /v1 request bodies against the no-5xx contract, and
+# arbitrary registry blobs through the recovery scan's verification. A
+# failing input is written under the package's testdata/fuzz/ and then
+# replays in every go test run.
 go test -run '^$' -fuzz '^FuzzStreamChunk$' -fuzztime 10s ./internal/server/
+go test -run '^$' -fuzz '^FuzzSegmentWriter$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzV1Body$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzSelect$' -fuzztime 10s ./internal/stats/
 go test -run '^$' -fuzz '^FuzzPlatformRoundTrip$' -fuzztime 10s ./internal/machine/
