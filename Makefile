@@ -25,9 +25,9 @@ lint:
 
 ## check is the full pre-merge gate (scripts/check.sh): gofmt, build,
 ## vet, race tests (the archlined SIGTERM-drain and SIGKILL-recovery
-## drills included, plus a ten-fold race storm on microbench, obs and
-## cli), the _perfbench module's vet and tests, and lint with a
-## per-analyzer summary.
+## drills included, plus ten-fold race storms on microbench, obs, cli,
+## MultiStart and concurrent gzip streams), the _perfbench module's vet
+## and tests, and lint with a per-analyzer summary.
 check:
 	./scripts/check.sh
 

@@ -564,6 +564,10 @@ func TestAcceptsGzip(t *testing.T) {
 		// A NaN weight is unparsable, so it counts as 1.
 		{"gzip;q=nan", true},
 		{"*;q=NaN", true},
+		// x-gzip is gzip (RFC 9110 §8.4.1.3).
+		{"x-gzip", true},
+		{"x-gzip;q=0", false},
+		{"*, x-gzip;q=0", false},
 	}
 	for _, c := range cases {
 		r, _ := http.NewRequest(http.MethodGet, "/", nil)

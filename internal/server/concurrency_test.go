@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"fmt"
 	"io"
@@ -87,6 +89,67 @@ func TestConcurrentIdenticalSweeps(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentGzipStreams races four large gzip streams through one
+// server, so their segments share the deflater slots, the segment
+// buffers and the pooled encoders: each must decode to the identity
+// body of the same request.
+func TestConcurrentGzipStreams(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	url := ts.URL + "/v1/sweep/stream"
+	platforms := []string{"gtx-titan", "xeon-phi", "desktop-cpu", "arndale-gpu"}
+	reqs := make([]string, len(platforms))
+	want := make([][]byte, len(platforms))
+	for i, p := range platforms {
+		reqs[i] = fmt.Sprintf(`{"platform_id":%q,"points":8192,"chunk_points":256}`, p)
+		resp, body := encodedDo(t, http.MethodPost, url, reqs[i], "identity")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s identity stream: status %d: %s", p, resp.StatusCode, body)
+		}
+		want[i] = body
+	}
+	got := make([][]byte, len(platforms))
+	errs := make([]error, len(platforms))
+	var wg sync.WaitGroup
+	for i := range platforms {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = gunzipStream(url, reqs[i])
+		}()
+	}
+	wg.Wait()
+	for i, p := range platforms {
+		if errs[i] != nil {
+			t.Errorf("%s gzip stream: %v", p, errs[i])
+		} else if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("%s gzip stream decodes to %d bytes, want the %d-byte identity body", p, len(got[i]), len(want[i]))
+		}
+	}
+}
+
+// gunzipStream POSTs body to a stream endpoint with gzip negotiated and
+// returns the decoded response body.
+func gunzipStream(url, body string) ([]byte, error) {
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Accept-Encoding", "gzip")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
+	}
+	zr, err := gzip.NewReader(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	return io.ReadAll(zr)
 }
 
 // TestHammerMixedEndpoints drives several endpoints from 32 goroutines;

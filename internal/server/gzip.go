@@ -32,23 +32,22 @@ const gzipLevel = 4
 // deflated serially until segmentBytes of raw bytes have gone out; from
 // the next flush on it is cut, at the caller's flushes, into segments
 // of at least segmentBytes. Each segment is deflated on a goroutine of
-// its own, primed with the dictBytes before it (RFC 1951 preset
-// dictionary), and ends in a sync flush, so the segments concatenate
-// into one deflate stream inside one RFC 1952 member. Only large sweep
-// streams fill a segment; DESIGN.md §10 has the measurements.
+// its own by the record encoder (deflate.go), whose matches may reach
+// into the dictBytes before the segment, and ends in a sync flush, so
+// the segments concatenate into one deflate stream inside one RFC 1952
+// member. Only large sweep streams fill a segment; DESIGN.md §10 has
+// the measurements.
 const (
 	// segmentBytes is the raw size of the serial part and the least raw
-	// size of a segment. Each segment pays one flate.NewWriterDict
-	// (about 800 KB); at 256 KiB that showed in daemon CPU, at 512 KiB
-	// and 1 MiB it did not.
+	// size of a segment.
 	segmentBytes = 512 << 10
 	// dictBytes is deflate's window: the most history a segment can
 	// refer back into.
 	dictBytes = 32 << 10
-	// segmentBufBytes is a segment buffer's full size: one segment plus
-	// the longest line a flush can add past it, a maxChunkPoints chunk
-	// (about 856 KB, at about 209 bytes a point).
-	segmentBufBytes = segmentBytes + maxChunkPoints*256
+	// segmentBufBytes is a segment buffer's full size: the dictionary,
+	// one segment, and the longest line a flush can add past it, a
+	// maxChunkPoints chunk (about 856 KB, at about 209 bytes a point).
+	segmentBufBytes = dictBytes + segmentBytes + maxChunkPoints*256
 )
 
 // gzipHeader is the member header compress/gzip writes for a Writer
@@ -70,7 +69,8 @@ var flateWriters = sync.Pool{
 }
 
 // segmentBufs recycles segment buffers, taken at their full size so a
-// segment never grows by append. putSegment empties one on its way back.
+// segment never grows by append. A segment buffer holds the segment's
+// dictionary, then the segment. putSegment empties one on its way back.
 var segmentBufs = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, segmentBufBytes)
@@ -99,11 +99,14 @@ type segmentWriter struct {
 	size    int // raw bytes written; ISIZE is it mod 2^32
 
 	serial *flate.Writer // the serial part's deflater; nil past it
-	seg    *[]byte       // the segment being filled, past the serial part
-	// tail ends with the last dictBytes of raw bytes once the body is
-	// within dictBytes of segSize; it is trimmed only when it reaches
-	// twice that, so keeping it costs O(1) a byte.
+	// tail ends with the serial part's last dictBytes of raw bytes once
+	// the body is within dictBytes of segSize; it is trimmed only when
+	// it reaches twice that, so keeping it costs O(1) a byte.
 	tail []byte
+	// seg is the segment being filled, past the serial part, after its
+	// dict bytes of dictionary.
+	seg  *[]byte
+	dict int
 	// inflight holds the segments handed to deflaters and not yet
 	// written, in body order: at most two per deflater slot, so the
 	// handler runs ahead of the deflaters by a bounded amount.
@@ -163,7 +166,7 @@ func (z *segmentWriter) Flush() error {
 		return z.err
 	}
 	if z.serial == nil {
-		if len(*z.seg) >= z.segSize {
+		if len(*z.seg)-z.dict >= z.segSize {
 			z.cut(false)
 		}
 		z.drain(false)
@@ -172,7 +175,8 @@ func (z *segmentWriter) Flush() error {
 	if z.err = z.serial.Flush(); z.err == nil && z.size >= z.segSize {
 		flateWriters.Put(z.serial)
 		z.serial = nil
-		z.seg = segmentBufs.Get().(*[]byte)
+		z.newSegment(z.tail)
+		z.tail = nil
 	}
 	return z.err
 }
@@ -216,17 +220,24 @@ func (z *segmentWriter) cut(last bool) {
 	if z.err != nil {
 		return // the client is gone: deflate no more
 	}
-	// The buffer goes back to the pool once deflated, maybe before the
-	// next segment is, so the dictionary is a copy.
-	dict := append([]byte(nil), z.tail[max(0, len(z.tail)-dictBytes):]...)
-	z.keepTail(*z.seg)
-	out := make(chan []byte, 1)
-	z.inflight = append(z.inflight, out)
-	go deflateSegment(z.seg, dict, last, out)
+	seg, dict := z.seg, z.dict
 	z.seg = nil
 	if !last {
-		z.seg = segmentBufs.Get().(*[]byte)
+		// The buffer goes back to the pool once deflated, maybe before
+		// the next segment is, so the dictionary is copied now.
+		z.newSegment(*seg)
 	}
+	out := make(chan []byte, 1)
+	z.inflight = append(z.inflight, out)
+	go deflateSegment(seg, dict, last, out)
+}
+
+// newSegment starts the next segment buffer with the last dictBytes of
+// history, the end of the stream's raw bytes so far.
+func (z *segmentWriter) newSegment(history []byte) {
+	z.seg = segmentBufs.Get().(*[]byte)
+	*z.seg = append(*z.seg, history[max(0, len(history)-dictBytes):]...)
+	z.dict = len(*z.seg)
 }
 
 // drain writes out, in body order, the segments whose deflaters are
@@ -254,38 +265,29 @@ func (z *segmentWriter) writeOldest(deflated []byte) {
 	}
 }
 
-// deflateSegment deflates one segment in a deflater slot, primed with
-// dict, and sends the result on out. A sync flush ends it, or the final
-// block when last.
-func deflateSegment(raw *[]byte, dict []byte, last bool, out chan<- []byte) {
+// deflateSegment deflates, in a deflater slot, the segment after the
+// dict bytes of dictionary in seg, and sends the result on out. A sync
+// flush ends it, or the final block when last.
+func deflateSegment(seg *[]byte, dict int, last bool, out chan<- []byte) {
 	deflateSlots <- struct{}{}
-	var buf bytes.Buffer
-	buf.Grow(len(*raw) / 4)
-	fw, err := flate.NewWriterDict(&buf, gzipLevel, dict)
-	if err != nil {
-		panic(err) // gzipLevel is a constant in flate's range
-	}
-	// Writes to a bytes.Buffer cannot fail.
-	_, _ = fw.Write(*raw)
-	if last {
-		_ = fw.Close()
-	} else {
-		_ = fw.Flush()
-	}
+	e := recordEncoders.Get().(*recordEncoder)
+	deflated := e.encode(make([]byte, 0, (len(*seg)-dict)/4), *seg, dict, last)
+	recordEncoders.Put(e)
 	<-deflateSlots
-	putSegment(raw)
-	out <- buf.Bytes()
+	putSegment(seg)
+	out <- deflated
 }
 
 // acceptsGzip reports whether the request negotiated gzip via
-// Accept-Encoding (RFC 9110 §12.5.3): an explicit "gzip" entry decides,
-// else a "*" entry does, and a zero weight refuses.
+// Accept-Encoding (RFC 9110 §12.5.3): an explicit "gzip" entry, or its
+// equivalent "x-gzip" (§8.4.1.3), decides, else a "*" entry does, and a
+// zero weight refuses.
 func acceptsGzip(r *http.Request) bool {
 	gzipQ, starQ := -1.0, -1.0 // -1: not listed
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
 		enc, params, _ := strings.Cut(part, ";")
 		switch enc = strings.TrimSpace(enc); {
-		case strings.EqualFold(enc, "gzip"):
+		case strings.EqualFold(enc, "gzip"), strings.EqualFold(enc, "x-gzip"):
 			gzipQ = qValue(params)
 		case enc == "*":
 			starQ = qValue(params)

@@ -19,7 +19,8 @@ echo "ci: check"
 
 echo "ci: fuzz"
 # Short runs: the NDJSON chunk encoder against encoding/json, the
-# segmented gzip writer against compress/gzip, stats.Select against
+# segmented gzip writer against compress/gzip, the record encoder
+# against compress/flate's reader, stats.Select against
 # sort-then-index, the platform description's decode/encode round trip,
 # arbitrary /v1 request bodies against the no-5xx contract, and
 # arbitrary registry blobs through the recovery scan's verification. A
@@ -27,6 +28,7 @@ echo "ci: fuzz"
 # replays in every go test run.
 go test -run '^$' -fuzz '^FuzzStreamChunk$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzSegmentWriter$' -fuzztime 10s ./internal/server/
+go test -run '^$' -fuzz '^FuzzRecordEncoder$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzV1Body$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzSelect$' -fuzztime 10s ./internal/stats/
 go test -run '^$' -fuzz '^FuzzPlatformRoundTrip$' -fuzztime 10s ./internal/machine/
