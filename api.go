@@ -260,7 +260,8 @@ var (
 // Simulator runs microbenchmark kernels on a simulated platform.
 type Simulator = sim.Simulator
 
-// SimOptions tune the simulator (seed, noise, cache-sim fidelity).
+// SimOptions tune the simulator (seed, noise, fault injection, trace
+// sanitization).
 type SimOptions = sim.Options
 
 // Kernel is a microbenchmark specification.

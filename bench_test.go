@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"archline/internal/cache"
 	"archline/internal/experiments"
 	"archline/internal/fit"
 	"archline/internal/machine"
@@ -238,32 +237,6 @@ func BenchmarkFitStrategies(b *testing.B) {
 	})
 }
 
-// BenchmarkCacheAblation compares the analytic working-set classifier
-// against the full set-associative cache simulation.
-func BenchmarkCacheAblation(b *testing.B) {
-	plat := machine.MustByID(machine.DesktopCPU)
-	k := sim.Kernel{
-		Name: "l2", Precision: sim.Single, Pattern: sim.StreamPattern,
-		FlopsPerWord: 4, WorkingSet: units.KiB(128), Passes: 4,
-	}
-	b.Run("analytic", func(b *testing.B) {
-		s := sim.New(plat, sim.Options{Seed: 1, Noiseless: true})
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Run(k); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cache-sim", func(b *testing.B) {
-		s := sim.New(plat, sim.Options{Seed: 1, Noiseless: true, UseCacheSim: true})
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Run(k); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSamplingRate measures energy-integration error versus the
 // meter's sampling rate, ablating PowerMon 2's 1024 Hz choice.
 func BenchmarkSamplingRate(b *testing.B) {
@@ -321,20 +294,6 @@ func BenchmarkSimMeasure(b *testing.B) {
 		if _, err := s.Measure(k); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkCacheAccess measures the cache simulator's per-access cost.
-func BenchmarkCacheAccess(b *testing.B) {
-	l, err := cache.NewLevel(cache.Config{
-		Name: "L1", Size: units.KiB(32), LineSize: 64, Assoc: 8, Policy: cache.LRU,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Access(uint64(i*64) % (1 << 20))
 	}
 }
 

@@ -19,7 +19,7 @@ func clean() sim.Options {
 }
 
 // Clean: a positional literal spells out every field.
-var allFields = sim.Options{7, false, true, nil, false}
+var allFields = sim.Options{7, false, nil, false}
 
 // Clean: other packages' Options types are not this analyzer's business.
 type Options struct{ Verbose bool }

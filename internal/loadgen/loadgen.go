@@ -83,13 +83,9 @@ type Config struct {
 	// executor-pool floor). Zero means 4.
 	Workers int
 	// Rate, when positive, switches to open-loop pacing at this many
-	// requests per second.
+	// requests per second. At most max(64, 4*Rate) requests run at
+	// once; dispatches past that are counted Skipped.
 	Rate float64
-	// MaxOutstanding caps concurrently executing requests in open-loop
-	// mode; dispatches past the cap are counted Skipped instead of
-	// queueing client-side (which would silently turn the open loop
-	// closed). Zero means max(64, 4*Rate).
-	MaxOutstanding int
 	// Seed drives every random draw. Same seed, same request stream.
 	Seed uint64
 	// Mix maps op names to weights; zero-weight ops never fire. Nil
@@ -149,13 +145,15 @@ func (c Config) withDefaults() (Config, error) {
 			c.Platforms = append(c.Platforms, string(p.ID))
 		}
 	}
-	if c.MaxOutstanding <= 0 {
-		c.MaxOutstanding = 64
-		if n := int(4 * c.Rate); n > c.MaxOutstanding {
-			c.MaxOutstanding = n
-		}
-	}
 	return c, nil
+}
+
+// maxOutstanding caps concurrently executing requests in open-loop
+// mode: max(64, 4*Rate). Dispatches past the cap are counted Skipped
+// instead of queueing client-side, which would silently turn the open
+// loop closed.
+func (c Config) maxOutstanding() int {
+	return max(64, int(4*c.Rate))
 }
 
 // ParseMix parses a "query=50,roofline=20" flag value over DefaultMix:
@@ -444,11 +442,12 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	idle := cfg.Workers + cfg.maxOutstanding()
 	client := &http.Client{
 		Timeout: cfg.Timeout,
 		Transport: &http.Transport{
-			MaxIdleConns:        cfg.Workers + cfg.MaxOutstanding,
-			MaxIdleConnsPerHost: cfg.Workers + cfg.MaxOutstanding,
+			MaxIdleConns:        idle,
+			MaxIdleConnsPerHost: idle,
 		},
 	}
 	defer client.CloseIdleConnections()
@@ -509,7 +508,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 
 // runOpenLoop paces dispatches at cfg.Rate per second. Each dispatch
 // runs in its own goroutine (completions do not gate the schedule); the
-// MaxOutstanding semaphore only protects the client from unbounded
+// maxOutstanding semaphore only protects the client from unbounded
 // goroutine growth, and a dispatch that cannot get a slot is counted
 // skipped, not queued. Returns the skip count after all dispatches
 // finish (wg tracks the in-flight executors).
@@ -521,7 +520,7 @@ func runOpenLoop(ctx context.Context, cfg Config, client *http.Client,
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	sem := make(chan struct{}, cfg.MaxOutstanding)
+	sem := make(chan struct{}, cfg.maxOutstanding())
 	var skipped int64
 	for {
 		select {

@@ -26,9 +26,9 @@ type Report struct {
 	// Canceled counts requests aborted in flight by the run's own
 	// deadline — a harness artifact, never a budget violation.
 	Canceled int64 `json:"canceled"`
-	// Skipped counts open-loop dispatches refused because MaxOutstanding
-	// requests were already in flight (client saturation, not a server
-	// outcome).
+	// Skipped counts open-loop dispatches refused because max(64,
+	// 4*Rate) requests were already in flight (client saturation, not a
+	// server outcome).
 	Skipped int64 `json:"skipped"`
 
 	// Latency quantiles over successful responses, milliseconds.

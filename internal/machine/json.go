@@ -170,6 +170,39 @@ func (pj *platformJSON) validate() error {
 			return fmt.Errorf("machine: %s is out of range (%v > 2^53)", c.name, c.v)
 		}
 	}
+	return pj.validateSizes()
+}
+
+// minLevelSize is the smallest size a described level may have: two
+// single-precision words, since the suite's L1 kernels stream half the
+// level and a kernel touches at least one word.
+const minLevelSize = 8
+
+// validateSizes keeps the level sizes where the simulator's capacity
+// rule can tell the suite's kernels apart: it serves a working set from
+// the first described level whose size holds it, and the suite streams
+// half of L1, halfway between L1 and L2, and DRAMWorkingSet. A size the
+// rule cannot serve would otherwise fail the fit or drop a level from
+// it silently.
+func (pj *platformJSON) validateSizes() error {
+	for _, l := range []struct {
+		key       string
+		described bool
+		size      int64
+	}{{"l1", pj.L1 != nil, pj.L1SizeBytes}, {"l2", pj.L2 != nil, pj.L2SizeBytes}} {
+		if l.described && l.size < minLevelSize {
+			return fmt.Errorf("machine: %s is described, so %s_size_bytes must be at least %d, got %d",
+				l.key, l.key, minLevelSize, l.size)
+		}
+		if units.Bytes(l.size) >= DRAMWorkingSet {
+			return fmt.Errorf("machine: %s_size_bytes must be below the suite's %d-byte DRAM working set, got %d",
+				l.key, int64(DRAMWorkingSet), l.size)
+		}
+	}
+	if pj.L1SizeBytes > 0 && pj.L2SizeBytes > 0 && pj.L2SizeBytes <= pj.L1SizeBytes {
+		return fmt.Errorf("machine: l2_size_bytes (%d) must be above l1_size_bytes (%d)",
+			pj.L2SizeBytes, pj.L1SizeBytes)
+	}
 	return nil
 }
 

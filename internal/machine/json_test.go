@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -113,8 +114,8 @@ func TestFromJSONErrors(t *testing.T) {
 		"l1 above l2": `{"id":"x","name":"y","class":"mini","cache_line_bytes":64,
 			"sustained_single_gflops":10,"sustained_mem_gbs":10,
 			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1,
-			"l1":{"eps_pj_per_byte":100,"bw_gbs":100},
-			"l2":{"eps_pj_per_byte":50,"bw_gbs":50}}`,
+			"l1":{"eps_pj_per_byte":100,"bw_gbs":100},"l1_size_bytes":32768,
+			"l2":{"eps_pj_per_byte":50,"bw_gbs":50},"l2_size_bytes":262144}`,
 		"trailing document": `{"id":"x","name":"y","class":"mini","cache_line_bytes":64,
 			"sustained_single_gflops":10,"sustained_mem_gbs":10,
 			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1}
@@ -154,9 +155,38 @@ func TestFromJSONErrors(t *testing.T) {
 			"sustained_single_gflops":10,"sustained_mem_gbs":10,
 			"eps_s_pj_per_flop":10,"eps_mem_pj_per_byte":10,"pi1_w":1,"delta_pi_w":1}`,
 	}
+	// Level sizes the simulator's capacity rule cannot serve, on an
+	// edited desktop-cpu: each refusal names the key to fix.
+	keys := map[string]string{}
+	sized := func(name, key string, edit func(map[string]any)) {
+		raw, err := Canonical(MustByID(DesktopCPU))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		edit(m)
+		body, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[name], keys[name] = string(body), key
+	}
+	sized("l1 without a size", "l1_size_bytes", func(m map[string]any) { delete(m, "l1_size_bytes") })
+	sized("l1 below two words", "l1_size_bytes", func(m map[string]any) { m["l1_size_bytes"] = minLevelSize - 1 })
+	sized("l2 of 1 GiB", "l2_size_bytes", func(m map[string]any) { m["l2_size_bytes"] = 1 << 30 })
+	sized("l1 at the DRAM working set", "l1_size_bytes",
+		func(m map[string]any) { m["l1_size_bytes"] = int64(DRAMWorkingSet) })
+	sized("l1 above l2 in size", "l2_size_bytes", func(m map[string]any) { m["l1_size_bytes"] = 512 << 10 })
+	sized("l1 equal to l2 in size", "l2_size_bytes", func(m map[string]any) { m["l1_size_bytes"] = 256 << 10 })
 	for name, src := range cases {
-		if _, err := FromJSON(strings.NewReader(src)); err == nil {
+		_, err := FromJSON(strings.NewReader(src))
+		if err == nil {
 			t.Errorf("%s: should error", name)
+		} else if key := keys[name]; key != "" && !strings.Contains(err.Error(), key) {
+			t.Errorf("%s: error %q does not name %s", name, err, key)
 		}
 	}
 	if err := ToJSON(&bytes.Buffer{}, nil); err == nil {

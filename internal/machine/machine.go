@@ -146,8 +146,9 @@ type Platform struct {
 	// Rand is the pointer-chasing access mode (nil when not measured).
 	Rand *model.RandomAccessParams
 
-	// CacheLine is the line size used by the cache simulator and the
-	// random-access energy accounting.
+	// CacheLine is the line size: a random access moves one line, and a
+	// strided kernel moves one per useful word once its stride reaches
+	// it.
 	CacheLine units.Bytes
 	// L1Size and L2Size are nominal capacities for working-set sizing of
 	// the cache microbenchmarks (vendor datasheet values; the paper sizes
@@ -159,6 +160,11 @@ type Platform struct {
 
 	Quirks []Quirk
 }
+
+// DRAMWorkingSet is the working set of the microbenchmark suite's DRAM
+// kernels. FromJSON holds every level size below it, so the simulator's
+// capacity rule serves those kernels from DRAM on any platform.
+const DRAMWorkingSet units.Bytes = 64 << 20 // 64 MiB
 
 // HasQuirk reports whether the platform exhibits the given quirk.
 func (p *Platform) HasQuirk(q Quirk) bool {

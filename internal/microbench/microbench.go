@@ -62,14 +62,13 @@ func DefaultConfig() Config {
 
 // The suite's fixed protocol: the DRAM sweep log-spaces flops per word
 // over [minFPW, maxFPW] (I from 1/8 to 512 flop:Byte in single
-// precision) on a dramWorkingSet stream, and every kernel is tuned to
-// run for about targetRunTime, long enough for the 1024 Hz power meter
-// to see enough samples.
+// precision) on a machine.DRAMWorkingSet stream, and every kernel is
+// tuned to run for about targetRunTime, long enough for the 1024 Hz
+// power meter to see enough samples.
 const (
-	minFPW                     = 0.5
-	maxFPW                     = 2048
-	targetRunTime  units.Time  = 0.25
-	dramWorkingSet units.Bytes = 64 << 20 // 64 MiB
+	minFPW                   = 0.5
+	maxFPW                   = 2048
+	targetRunTime units.Time = 0.25
 )
 
 // cacheFPWs are the flops-per-word points used inside each cache level:
@@ -92,7 +91,7 @@ func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
 			Precision:    sim.Single,
 			Pattern:      sim.StreamPattern,
 			FlopsPerWord: fpw,
-			WorkingSet:   dramWorkingSet,
+			WorkingSet:   machine.DRAMWorkingSet,
 		}, targetRunTime))
 		if cfg.IncludeDouble && plat.SupportsDouble() {
 			kernels = append(kernels, tuned(plat, sim.Kernel{
@@ -100,7 +99,7 @@ func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
 				Precision:    sim.Double,
 				Pattern:      sim.StreamPattern,
 				FlopsPerWord: fpw,
-				WorkingSet:   dramWorkingSet,
+				WorkingSet:   machine.DRAMWorkingSet,
 			}, targetRunTime))
 		}
 	}

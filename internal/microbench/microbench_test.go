@@ -1,8 +1,13 @@
 package microbench
 
 import (
+	"bytes"
+	"encoding/json"
+	"maps"
 	"math"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"archline/internal/machine"
 	"archline/internal/model"
@@ -69,6 +74,74 @@ func TestBuildSuiteSkipsUnsupported(t *testing.T) {
 	}
 	if !hasL1 || hasL2 {
 		t.Errorf("Mali suite: hasL1=%v hasL2=%v, want L1 only", hasL1, hasL2)
+	}
+}
+
+// TestQuickSuiteLevelsFollowSizes holds machine.FromJSON's level-size
+// rules to the simulator's capacity rule: on every description it
+// accepts, the suite's L1, L2 and DRAM stream kernels run from L1, L2
+// and DRAM. Sizes are drawn at the rules' edges and log-uniformly from
+// 1 B to 256 MiB, with each level described or not.
+func TestQuickSuiteLevelsFollowSizes(t *testing.T) {
+	raw, err := machine.Canonical(machine.MustByID(machine.DesktopCPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base map[string]any
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	dram := int64(machine.DRAMWorkingSet)
+	edges := []int64{0, 1, 7, 8, 9, 4096, dram - 1, dram, dram + 1}
+	size := func(u uint32) int64 {
+		if u%4 == 0 {
+			return edges[int(u/4)%len(edges)]
+		}
+		return int64(math.Exp2(float64(u>>2) / (1 << 30) * 28))
+	}
+	want := map[string]model.MemLevel{"sweep": model.LevelDRAM, "l1": model.LevelL1, "l2": model.LevelL2}
+	var accepted, rejected int
+	f := func(a, b uint32, describe uint8) bool {
+		m := maps.Clone(base)
+		m["l1_size_bytes"], m["l2_size_bytes"] = size(a), size(b)
+		if describe&1 == 0 {
+			delete(m, "l1")
+		}
+		if describe&2 == 0 {
+			delete(m, "l2")
+		}
+		body, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plat, err := machine.FromJSON(bytes.NewReader(body))
+		if err != nil {
+			rejected++
+			return true
+		}
+		accepted++
+		kernels, err := BuildSuite(plat, Config{SweepPoints: 2, IncludeCache: true})
+		if err != nil {
+			t.Logf("%s: %v", body, err)
+			return false
+		}
+		s := sim.New(plat, sim.Options{Seed: 1, Noiseless: true})
+		for _, k := range kernels {
+			family, _, _ := strings.Cut(k.Name, "-")
+			res, err := s.Run(k)
+			if err != nil || res.Level != want[family] {
+				t.Logf("%s: kernel %s (%v): level %v, err %v; want %v", body, k.Name, k.WorkingSet,
+					res.Level, err, want[family])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Errorf("accepted %d, rejected %d of the draws: want both", accepted, rejected)
 	}
 }
 

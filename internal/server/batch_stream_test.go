@@ -476,9 +476,28 @@ func TestSweepStreamGzipHeaderFirst(t *testing.T) {
 // deadline still ends in a decodable member whose last line is the
 // error trailer, after every chunk its in-flight segments held.
 func TestSweepStreamDeadlineGzip(t *testing.T) {
-	_, ts := newTestServer(t, Config{RequestTimeout: time.Second})
-	resp, out := encodedDo(t, http.MethodPost, ts.URL+"/v1/sweep/stream",
-		fmt.Sprintf(`{"platform_id":"gtx-titan","points":%d,"chunk_points":256}`, streamMaxPoints), "gzip")
+	const timeout = time.Second
+	_, ts := newTestServer(t, Config{RequestTimeout: timeout})
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sweep/stream", strings.NewReader(
+		fmt.Sprintf(`{"platform_id":"gtx-titan","points":%d,"chunk_points":256}`, streamMaxPoints)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept-Encoding", "gzip")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// Read nothing until the deadline has passed. A 2-vCPU Intel Xeon
+	// streams 740K-840K of the 1,048,576 points in a second, and a
+	// faster host could finish them all; unread, the stream fills the
+	// socket and stalls instead, so the deadline falls inside it.
+	time.Sleep(timeout + timeout/10)
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, out)
 	}

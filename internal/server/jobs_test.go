@@ -300,6 +300,28 @@ func TestFitSubmitValidation(t *testing.T) {
 		status, body := post(t, ts.URL+"/v1/fit", tc.body)
 		wantError(t, status, body, tc.status, tc.code)
 	}
+
+	// An inline platform whose L1 has no size is refused at submit; it
+	// used to queue a job that failed on the suite's L1 kernels.
+	raw, err := machine.Canonical(machine.MustByID(machine.DesktopCPU))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plat map[string]any
+	if err := json.Unmarshal(raw, &plat); err != nil {
+		t.Fatal(err)
+	}
+	plat["id"] = "unsized-l1"
+	delete(plat, "l1_size_bytes")
+	body, err := json.Marshal(map[string]any{"platform": plat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, resp := post(t, ts.URL+"/v1/fit", string(body))
+	wantError(t, status, resp, http.StatusBadRequest, "bad_request")
+	if !strings.Contains(string(resp), "l1_size_bytes") {
+		t.Errorf("refusal %s does not name l1_size_bytes", resp)
+	}
 }
 
 func TestJobUnknownIDs(t *testing.T) {

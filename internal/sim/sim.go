@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"math"
 
-	"archline/internal/cache"
 	"archline/internal/faults"
 	"archline/internal/machine"
 	"archline/internal/model"
@@ -178,10 +177,6 @@ type Options struct {
 	// Noiseless disables measurement noise and quirk variance (quirk
 	// *bias* remains: it is physics, not noise).
 	Noiseless bool
-	// UseCacheSim routes working-set classification through the
-	// set-associative cache simulator instead of the analytic capacity
-	// rule. Slower; used by the fidelity ablation.
-	UseCacheSim bool
 	// Faults, when non-nil, injects the measurement pathologies of its
 	// profile: corrupted traces, thermal-throttle events, and transient
 	// meter disconnects (surfaced as powermon.ErrDisconnect).
@@ -252,14 +247,9 @@ func (s *Simulator) groundParams(k Kernel) (model.Params, model.MemLevel, error)
 }
 
 // classifyLevel decides which memory level serves the kernel's working
-// set: analytically by capacity, or via the cache simulator when
-// requested.
+// set by capacity: the first described level whose size holds it, the
+// way the paper sizes each cache microbenchmark to fit its target level.
 func (s *Simulator) classifyLevel(k Kernel) model.MemLevel {
-	if s.opts.UseCacheSim {
-		if lvl, ok := s.classifyWithCacheSim(k); ok {
-			return lvl
-		}
-	}
 	if s.plat.L1 != nil && k.WorkingSet <= s.plat.L1Size {
 		return model.LevelL1
 	}
@@ -267,77 +257,6 @@ func (s *Simulator) classifyLevel(k Kernel) model.MemLevel {
 		return model.LevelL2
 	}
 	return model.LevelDRAM
-}
-
-// classifyWithCacheSim replays a bounded version of the kernel's access
-// stream through a simulated L1/L2 hierarchy and picks the level that
-// served the majority of steady-state traffic.
-func (s *Simulator) classifyWithCacheSim(k Kernel) (model.MemLevel, bool) {
-	if s.plat.L1 == nil {
-		return model.LevelDRAM, false
-	}
-	line := int64(s.plat.CacheLine)
-	cfgs := []cache.Config{{
-		Name: "L1", Size: s.plat.L1Size, LineSize: units.Bytes(line), Assoc: 8, Policy: cache.LRU,
-	}}
-	if s.plat.L2 != nil {
-		cfgs = append(cfgs, cache.Config{
-			Name: "L2", Size: s.plat.L2Size, LineSize: units.Bytes(line), Assoc: 8, Policy: cache.LRU,
-		})
-	}
-	h, err := cache.NewHierarchy(cfgs...)
-	if err != nil {
-		return model.LevelDRAM, false
-	}
-	// Bound the replay: cap the working set replay at 1M accesses by
-	// touching at line granularity; the classification only needs the
-	// steady-state residency, not exact counts.
-	ws := int64(k.WorkingSet)
-	if ws > int64(units.MiB(16)) {
-		return model.LevelDRAM, true // far beyond any L2 here
-	}
-	var addrs []uint64
-	switch k.Pattern {
-	case ChasePattern:
-		n := int(ws / line * 2)
-		if n < 1 {
-			n = 1
-		}
-		addrs, err = cache.ChaseAddrs(units.Bytes(ws), units.Bytes(line), n,
-			stats.NewStream(s.opts.Seed, "classify-"+k.Name))
-	default:
-		addrs, err = cache.StreamAddrs(units.Bytes(ws), units.Bytes(line), 2)
-	}
-	if err != nil {
-		return model.LevelDRAM, false
-	}
-	// Warm with the first half of the stream, then measure the second
-	// half: steady-state residency is what decides the serving level.
-	half := len(addrs) / 2
-	if half < 1 {
-		half = len(addrs)
-	}
-	for _, a := range addrs[:half] {
-		h.Access(a)
-	}
-	tr := h.Run(addrs[half:], units.Bytes(line))
-	if len(addrs[half:]) == 0 {
-		tr = h.Run(addrs, units.Bytes(line))
-	}
-	best, bestCount := 0, uint64(0)
-	for d, c := range tr.ServedBy {
-		if c > bestCount {
-			best, bestCount = d, c
-		}
-	}
-	switch {
-	case best == 0:
-		return model.LevelL1, true
-	case best == 1 && s.plat.L2 != nil:
-		return model.LevelL2, true
-	default:
-		return model.LevelDRAM, true
-	}
 }
 
 // Run executes the kernel's ground-truth physics and returns the true

@@ -147,24 +147,36 @@ func TestRunCacheLevels(t *testing.T) {
 	}
 }
 
-func TestRunCacheSimClassification(t *testing.T) {
-	// The cache-simulator classifier should agree with the analytic rule
-	// on clearly-sized working sets.
-	for _, ws := range []units.Bytes{units.KiB(16), units.KiB(128), units.MiB(64)} {
-		a := New(machine.MustByID(machine.DesktopCPU), Options{Seed: 1, Noiseless: true})
-		c := New(machine.MustByID(machine.DesktopCPU), Options{Seed: 1, Noiseless: true, UseCacheSim: true})
+// TestRunCacheLevelEdges pins the capacity rule at its boundaries: a
+// described level serves every working set up to and including its
+// size, one word more goes to the next level, and a level without
+// Table I data serves nothing whatever its size.
+func TestRunCacheLevelEdges(t *testing.T) {
+	word := Single.Bytes()
+	desk := machine.MustByID(machine.DesktopCPU)
+	apu := machine.MustByID(machine.APUGPU) // L1 data only
+	cases := []struct {
+		name string
+		plat *machine.Platform
+		ws   units.Bytes
+		want model.MemLevel
+	}{
+		{"desktop-cpu at L1Size", desk, desk.L1Size, model.LevelL1},
+		{"desktop-cpu one word past L1Size", desk, desk.L1Size + word, model.LevelL2},
+		{"desktop-cpu at L2Size", desk, desk.L2Size, model.LevelL2},
+		{"desktop-cpu one word past L2Size", desk, desk.L2Size + word, model.LevelDRAM},
+		{"nuc-gpu at 16 KiB", machine.MustByID(machine.NUCGPU), units.KiB(16), model.LevelDRAM},
+		{"apu-gpu one word past L1Size", apu, apu.L1Size + word, model.LevelDRAM},
+	}
+	for _, c := range cases {
 		k := streamKernel(4)
-		k.WorkingSet = ws
-		ra, err := a.Run(k)
+		k.WorkingSet = c.ws
+		res, err := New(c.plat, Options{Seed: 1, Noiseless: true}).Run(k)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		rc, err := c.Run(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ra.Level != rc.Level {
-			t.Errorf("ws %v: analytic %v vs cache-sim %v", ws, ra.Level, rc.Level)
+		if res.Level != c.want {
+			t.Errorf("%s (%v): level %v, want %v", c.name, c.ws, res.Level, c.want)
 		}
 	}
 }
