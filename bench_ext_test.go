@@ -8,9 +8,7 @@ import (
 
 	"archline/internal/cluster"
 	"archline/internal/experiments"
-	"archline/internal/fit"
 	"archline/internal/machine"
-	"archline/internal/microbench"
 	"archline/internal/model"
 	"archline/internal/scenario"
 	"archline/internal/sim"
@@ -70,22 +68,6 @@ func BenchmarkClusterStep(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := cl.Run(step); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBootstrap measures a 20-replicate bootstrap of the Titan fit.
-func BenchmarkBootstrap(b *testing.B) {
-	cfg := microbench.DefaultConfig()
-	cfg.SweepPoints = 12
-	suite, err := microbench.Run(machine.MustByID(machine.GTXTitan), cfg, sim.Options{Seed: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fit.Bootstrap(suite, 20, 0.95, fit.Options{Seed: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

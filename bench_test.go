@@ -15,7 +15,6 @@ import (
 	"archline/internal/experiments"
 	"archline/internal/fit"
 	"archline/internal/machine"
-	"archline/internal/microbench"
 	"archline/internal/model"
 	"archline/internal/powermon"
 	"archline/internal/sim"
@@ -210,33 +209,6 @@ func BenchmarkHierarchyAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkFitStrategies compares the production staged fit (sustained
-// taus + 4-parameter regression) against the naive joint 6-parameter
-// Nelder-Mead fit it replaced.
-func BenchmarkFitStrategies(b *testing.B) {
-	plat := machine.MustByID(machine.GTXTitan)
-	cfg := microbench.DefaultConfig()
-	cfg.SweepPoints = 15
-	suite, err := microbench.Run(plat, cfg, sim.Options{Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("staged", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fit.Platform(suite, fit.Options{Seed: 3}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("staged-few-restarts", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := fit.Platform(suite, fit.Options{Seed: 3, Restarts: 2}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSamplingRate measures energy-integration error versus the
 // meter's sampling rate, ablating PowerMon 2's 1024 Hz choice.
 func BenchmarkSamplingRate(b *testing.B) {
@@ -328,7 +300,7 @@ func BenchmarkNelderMead(b *testing.B) {
 	}
 	x0 := []float64{5, 5, 5, 5}
 	for i := 0; i < b.N; i++ {
-		if _, err := fit.NelderMead(f, x0, fit.NMOptions{}); err != nil {
+		if _, err := fit.NelderMead(f, x0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -100,6 +100,23 @@ func TestExperimentsMDCommand(t *testing.T) {
 	}
 }
 
+// TestExperimentsMDMatchesRecord holds the committed EXPERIMENTS.md to
+// what `archline experiments-md` prints with the CLI's own defaults, so
+// a change that moves a fitted constant must regenerate the record.
+func TestExperimentsMDMatchesRecord(t *testing.T) {
+	want, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := Main([]string{"experiments-md"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("experiments-md exited %d: %s", code, stderr.String())
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Error("EXPERIMENTS.md is stale: regenerate it with `go run ./cmd/archline experiments-md > EXPERIMENTS.md`")
+	}
+}
+
 func TestRooflineUncappedPlatformMessage(t *testing.T) {
 	// Build output for a platform and check the cap-range line exists in
 	// one form or the other (all Table I platforms bind somewhere, so

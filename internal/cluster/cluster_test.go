@@ -179,7 +179,7 @@ func TestOverlapHidesCommunication(t *testing.T) {
 func TestNetworkBoundStep(t *testing.T) {
 	c := arndaleCluster(4, EthernetLowPower(), true)
 	// Tiny compute, huge message: wire dominates.
-	pred, err := c.Run(Step{W: units.MFlops(1), Q: units.KiB(4), Msg: units.GB(1), Pattern: Halo})
+	pred, err := c.Run(Step{W: units.Flops(1e6), Q: units.KiB(4), Msg: units.GB(1), Pattern: Halo})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,14 +30,6 @@ const (
 	WeakScaling
 )
 
-// String names the mode.
-func (m ScalingMode) String() string {
-	if m == WeakScaling {
-		return "weak"
-	}
-	return "strong"
-}
-
 // ScalingSweep evaluates a step across cluster sizes. For strong scaling
 // the step describes the whole problem; for weak scaling it describes
 // one node's share (the global problem grows with N). The per-node halo

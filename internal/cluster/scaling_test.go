@@ -7,12 +7,6 @@ import (
 	"archline/internal/units"
 )
 
-func TestScalingModeString(t *testing.T) {
-	if StrongScaling.String() != "strong" || WeakScaling.String() != "weak" {
-		t.Error("mode names")
-	}
-}
-
 func TestStrongScalingBreaksDownOnSlowNetwork(t *testing.T) {
 	node := machine.MustByID(machine.ArndaleGPU).Single
 	step := Step{

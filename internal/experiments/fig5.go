@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"archline/internal/machine"
@@ -64,18 +65,11 @@ func fig5Panel(plat *machine.Platform, opts Options) (*Fig5Panel, error) {
 		v := m.AvgPower.Watts() / norm
 		panel.Measured = append(panel.Measured, scenario.MetricPoint{I: m.Intensity, Value: v})
 		modelV := plat.Single.AvgPowerAt(m.Intensity).Watts() / norm
-		if e := abs(modelV-v) / v; e > panel.MaxAbsErr {
+		if e := math.Abs(modelV-v) / v; e > panel.MaxAbsErr {
 			panel.MaxAbsErr = e
 		}
 	}
 	return panel, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // Render draws each panel as an ASCII plot with its header annotations.

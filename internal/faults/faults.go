@@ -142,9 +142,6 @@ func Harsh() Profile {
 	}
 }
 
-// Profiles lists the built-in profile names.
-func Profiles() []string { return []string{"none", "paper", "harsh"} }
-
 // ByName resolves a built-in profile.
 func ByName(name string) (Profile, error) {
 	switch name {
@@ -176,14 +173,6 @@ type Injector struct {
 // New builds an injector for the profile.
 func New(prof Profile, seed uint64) *Injector {
 	return &Injector{prof: prof, seed: seed, disconnect: map[string]int{}}
-}
-
-// Profile returns the injector's profile.
-func (in *Injector) Profile() Profile {
-	if in == nil {
-		return None()
-	}
-	return in.prof
 }
 
 // stream derives the deterministic stream for one fault kind and label.

@@ -102,9 +102,6 @@ func TestNilInjectorPassthrough(t *testing.T) {
 	if _, hit := in.ThrottleEvent("k", 1); hit {
 		t.Error("nil injector throttled")
 	}
-	if in.Profile().Name != "none" {
-		t.Errorf("nil injector profile = %q", in.Profile().Name)
-	}
 }
 
 func TestDisconnectBurstThenRecovery(t *testing.T) {
@@ -239,7 +236,7 @@ func TestSanitizeRecoversPaperCorruption(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range Profiles() {
+	for _, name := range []string{"none", "paper", "harsh"} {
 		p, err := ByName(name)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", name, err)

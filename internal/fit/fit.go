@@ -125,8 +125,8 @@ func paramsFromLog(tauF, tauM float64, logx []float64) model.Params {
 // measurement pins pi_1, and the largest observed dynamic power pins
 // DeltaPi.
 func initialGuess(obs []observation, idle float64) ([]float64, error) {
-	if len(obs) < 6 {
-		return nil, errors.New("fit: need at least 6 sweep observations")
+	if len(obs) < MinSweepPoints {
+		return nil, fmt.Errorf("fit: need at least %d sweep observations", MinSweepPoints)
 	}
 	lo, hi := obs[0], obs[0]
 	loI := obs[0].w / obs[0].q
@@ -165,29 +165,26 @@ func initialGuess(obs []observation, idle float64) ([]float64, error) {
 
 // Options tune the platform fit.
 type Options struct {
-	// Restarts is the number of multi-start perturbations. Default 8.
-	Restarts int
 	// Seed drives the multi-start perturbations.
 	Seed uint64
 }
 
-func (o Options) withDefaults() Options {
-	if o.Restarts == 0 {
-		o.Restarts = 8
-	}
-	return o
-}
-
-// Every multi-start of the platform fit perturbs its restarts by
-// startSpread in log-parameter space and bounds each Nelder-Mead run at
-// fitMaxIter iterations.
+// Every multi-start of the platform fit runs Nelder-Mead from its start
+// and from perturbedStarts copies perturbed by startSpread in
+// log-parameter space.
 const (
-	startSpread = 0.15
-	fitMaxIter  = 4000
+	perturbedStarts = 8
+	startSpread     = 0.15
 )
 
-// Platform runs the full fitting pipeline on a suite result: the joint
-// six-parameter DRAM fit, then the per-cache-level fits with the
+// MinSweepPoints is the fewest single-precision sweep observations the
+// DRAM fit accepts, and the fewest double-precision ones the flop-side
+// refit uses. A suite needs at least this many sweep points to be fitted.
+const MinSweepPoints = 6
+
+// Platform runs the full fitting pipeline on a suite result: the six
+// DRAM parameters (closed-form sustained taus, then a four-parameter
+// regression), then the per-cache-level fits with the
 // flop-side parameters frozen, then the double-precision flop energy and
 // the random-access mode. It is PlatformContext without tracing.
 func Platform(res *microbench.Result, opts Options) (*PlatformFit, error) {
@@ -200,10 +197,9 @@ func Platform(res *microbench.Result, opts Options) (*PlatformFit, error) {
 func PlatformContext(ctx context.Context, res *microbench.Result, opts Options) (*PlatformFit, error) {
 	_, span := tele.Start(ctx, "fit.platform", tele.String("platform", string(res.Platform.ID)))
 	defer span.End()
-	opts = opts.withDefaults()
 	sweep := res.Sweep(sim.Single)
 	obs := toObservations(sweep)
-	if len(obs) < 6 {
+	if len(obs) < MinSweepPoints {
 		return nil, errors.New("fit: insufficient single-precision sweep data")
 	}
 	x0, err := initialGuess(obs, res.IdlePower.Watts())
@@ -218,7 +214,7 @@ func PlatformContext(ctx context.Context, res *microbench.Result, opts Options) 
 		}
 	}
 	best, err := MultiStart(dramObjective(obs, tauF, tauM, maxP), x0,
-		opts.Restarts, startSpread, opts.Seed, NMOptions{MaxIter: fitMaxIter})
+		perturbedStarts, startSpread, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +233,7 @@ func PlatformContext(ctx context.Context, res *microbench.Result, opts Options) 
 		tele.Bool("huber_refit", out.RobustApplied))
 
 	// Double precision: refit the flop side only on the DP sweep.
-	if dp := toObservations(res.Sweep(sim.Double)); len(dp) >= 6 {
+	if dp := toObservations(res.Sweep(sim.Double)); len(dp) >= MinSweepPoints {
 		de, err := fitFlopSide(dp, out.Params, opts)
 		if err == nil {
 			out.DoubleEps = de
@@ -322,7 +318,7 @@ func fitFlopSide(obs []observation, base model.Params, opts Options) (units.Ener
 	}
 	start := math.Log(math.Max((hi.p-base.Pi1.Watts())*hi.t/hi.w, 1e-18))
 	best, err := MultiStart(obj, []float64{start},
-		opts.Restarts, startSpread, opts.Seed+1, NMOptions{MaxIter: fitMaxIter})
+		perturbedStarts, startSpread, opts.Seed+1)
 	if err != nil {
 		return 0, err
 	}
@@ -373,7 +369,7 @@ func fitLevel(obs []observation, base model.Params, opts Options) (*model.LevelP
 	}
 	eps0 := math.Max((lo.p-base.Pi1.Watts())*lo.t/lo.q, 1e-18)
 	best, err := MultiStart(obj, []float64{math.Log(eps0)},
-		opts.Restarts, startSpread, opts.Seed+2, NMOptions{MaxIter: fitMaxIter})
+		perturbedStarts, startSpread, opts.Seed+2)
 	if err != nil {
 		return nil, err
 	}

@@ -23,29 +23,16 @@ import (
 // Objective is a scalar function to minimize.
 type Objective func(x []float64) float64
 
-// NMOptions tune the Nelder-Mead optimizer.
-type NMOptions struct {
-	// MaxIter bounds the number of simplex iterations. Default 2000.
-	MaxIter int
-	// Tol terminates when the simplex's relative function spread falls
-	// below it. Default 1e-10.
-	Tol float64
-	// Step is the initial simplex displacement per coordinate. Default 0.1.
-	Step float64
-}
-
-func (o NMOptions) withDefaults() NMOptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 2000
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-10
-	}
-	if o.Step == 0 {
-		o.Step = 0.1
-	}
-	return o
-}
+// The optimizer's settings, the same for every fit: nmMaxIter bounds
+// the simplex iterations, the search stops once the simplex's relative
+// function spread falls below nmTol (and its extent below sqrt(nmTol)),
+// and nmStep is the initial simplex displacement per coordinate,
+// relative to the coordinate when it is nonzero.
+const (
+	nmMaxIter = 4000
+	nmTol     = 1e-10
+	nmStep    = 0.1
+)
 
 // NMResult is the outcome of a minimization.
 type NMResult struct {
@@ -56,7 +43,7 @@ type NMResult struct {
 
 // NelderMead minimizes f starting from x0, which it copies and never
 // writes to.
-func NelderMead(f Objective, x0 []float64, opts NMOptions) (NMResult, error) {
+func NelderMead(f Objective, x0 []float64) (NMResult, error) {
 	if f == nil {
 		return NMResult{}, errors.New("fit: nil objective")
 	}
@@ -64,7 +51,6 @@ func NelderMead(f Objective, x0 []float64, opts NMOptions) (NMResult, error) {
 	if n == 0 {
 		return NMResult{}, errors.New("fit: empty start point")
 	}
-	opts = opts.withDefaults()
 
 	// Standard coefficients.
 	const (
@@ -91,9 +77,9 @@ func NelderMead(f Objective, x0 []float64, opts NMOptions) (NMResult, error) {
 	simplex[0] = vertex{x: base, f: eval(base)}
 	for i := 1; i <= n; i++ {
 		x := append([]float64(nil), x0...)
-		step := opts.Step
+		step := nmStep
 		if x[i-1] != 0 {
-			step = opts.Step * math.Abs(x[i-1])
+			step = nmStep * math.Abs(x[i-1])
 		}
 		x[i-1] += step
 		simplex[i] = vertex{x: x, f: eval(x)}
@@ -102,7 +88,7 @@ func NelderMead(f Objective, x0 []float64, opts NMOptions) (NMResult, error) {
 	centroid := make([]float64, n)
 	trial := make([]float64, n)
 	iters := 0
-	for ; iters < opts.MaxIter; iters++ {
+	for ; iters < nmMaxIter; iters++ {
 		sort.Slice(simplex, func(a, b int) bool { return simplex[a].f < simplex[b].f })
 		best, worst := simplex[0], simplex[n]
 		// Convergence requires both the objective spread and the simplex
@@ -121,7 +107,7 @@ func NelderMead(f Objective, x0 []float64, opts NMOptions) (NMResult, error) {
 			rel := (hi - lo) / (1 + math.Abs(best.x[j]))
 			xspread = math.Max(xspread, rel)
 		}
-		if spread/scale < opts.Tol && xspread < math.Sqrt(opts.Tol) {
+		if spread/scale < nmTol && xspread < math.Sqrt(nmTol) {
 			break
 		}
 		// Centroid of all but the worst.
@@ -201,7 +187,7 @@ func NelderMead(f Objective, x0 []float64, opts NMOptions) (NMResult, error) {
 // objective in this package is). The reduction runs in start order and
 // keeps the earlier start on a tie, so the result and error are those
 // of running the starts one after another.
-func MultiStart(f Objective, x0 []float64, restarts int, spread float64, seed uint64, opts NMOptions) (NMResult, error) {
+func MultiStart(f Objective, x0 []float64, restarts int, spread float64, seed uint64) (NMResult, error) {
 	starts := [][]float64{x0}
 	rng := stats.NewStream(seed, "multistart")
 	for r := 0; r < restarts; r++ {
@@ -216,7 +202,7 @@ func MultiStart(f Objective, x0 []float64, restarts int, spread float64, seed ui
 		starts = append(starts, x)
 	}
 	results, errs := pool.Map(starts, 0, func(_ int, x []float64) (NMResult, error) {
-		return NelderMead(f, x, opts)
+		return NelderMead(f, x)
 	})
 	if _, err := pool.FirstError(errs); err != nil {
 		return NMResult{}, err

@@ -12,7 +12,7 @@ func TestNelderMeadQuadratic(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-3)*(x[0]-3) + 2*(x[1]+1)*(x[1]+1)
 	}
-	res, err := NelderMead(f, []float64{0, 0}, NMOptions{})
+	res, err := NelderMead(f, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestNelderMeadRosenbrock(t *testing.T) {
 		b := x[1] - x[0]*x[0]
 		return a*a + 100*b*b
 	}
-	res, err := NelderMead(f, []float64{-1.2, 1}, NMOptions{MaxIter: 10000, Tol: 1e-14})
+	res, err := NelderMead(f, []float64{-1.2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestNelderMeadPiecewiseKink(t *testing.T) {
 	f := func(x []float64) float64 {
 		return math.Max(math.Abs(x[0]-2), 0.5*math.Abs(x[0]-2)+1e-3) + math.Abs(x[1])
 	}
-	res, err := NelderMead(f, []float64{10, -7}, NMOptions{MaxIter: 5000})
+	res, err := NelderMead(f, []float64{10, -7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestNelderMeadHandlesNaN(t *testing.T) {
 		}
 		return (x[0] - 2) * (x[0] - 2)
 	}
-	res, err := NelderMead(f, []float64{5}, NMOptions{})
+	res, err := NelderMead(f, []float64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +75,10 @@ func TestNelderMeadHandlesNaN(t *testing.T) {
 }
 
 func TestNelderMeadErrors(t *testing.T) {
-	if _, err := NelderMead(nil, []float64{0}, NMOptions{}); err == nil {
+	if _, err := NelderMead(nil, []float64{0}); err == nil {
 		t.Error("nil objective should error")
 	}
-	if _, err := NelderMead(func([]float64) float64 { return 0 }, nil, NMOptions{}); err == nil {
+	if _, err := NelderMead(func([]float64) float64 { return 0 }, nil); err == nil {
 		t.Error("empty start should error")
 	}
 }
@@ -86,7 +86,7 @@ func TestNelderMeadErrors(t *testing.T) {
 func TestNelderMeadZeroCoordinateStep(t *testing.T) {
 	// A zero starting coordinate still gets a nonzero simplex step.
 	f := func(x []float64) float64 { return (x[0] - 1) * (x[0] - 1) }
-	res, err := NelderMead(f, []float64{0}, NMOptions{})
+	res, err := NelderMead(f, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func doubleWell(x []float64) float64 {
 func TestMultiStartEscapesLocalMinimum(t *testing.T) {
 	// Start near the local minimum; multi-start with wide spread should
 	// find the global one at x=2.
-	res, err := MultiStart(doubleWell, []float64{-1}, 30, 2.0, 42, NMOptions{})
+	res, err := MultiStart(doubleWell, []float64{-1}, 30, 2.0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestMultiStartEscapesLocalMinimum(t *testing.T) {
 
 func TestMultiStartZeroStart(t *testing.T) {
 	f := func(x []float64) float64 { return x[0]*x[0] + (x[1]-1)*(x[1]-1) }
-	res, err := MultiStart(f, []float64{0, 0}, 5, 0.3, 7, NMOptions{})
+	res, err := MultiStart(f, []float64{0, 0}, 5, 0.3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMultiStartZeroStart(t *testing.T) {
 }
 
 func TestMultiStartPropagatesErrors(t *testing.T) {
-	if _, err := MultiStart(nil, []float64{0}, 3, 0.1, 1, NMOptions{}); err == nil {
+	if _, err := MultiStart(nil, []float64{0}, 3, 0.1, 1); err == nil {
 		t.Error("nil objective should error")
 	}
 }
@@ -135,8 +135,8 @@ func TestMultiStartPropagatesErrors(t *testing.T) {
 // serialMultiStart is MultiStart as a serial loop: each perturbed start
 // is drawn just before its minimization. It is the reference the pooled
 // MultiStart must match bit for bit.
-func serialMultiStart(f Objective, x0 []float64, restarts int, spread float64, seed uint64, opts NMOptions) (NMResult, error) {
-	best, err := NelderMead(f, x0, opts)
+func serialMultiStart(f Objective, x0 []float64, restarts int, spread float64, seed uint64) (NMResult, error) {
+	best, err := NelderMead(f, x0)
 	if err != nil {
 		return NMResult{}, err
 	}
@@ -150,7 +150,7 @@ func serialMultiStart(f Objective, x0 []float64, restarts int, spread float64, s
 				x[j] = x0[j] + spread*math.Abs(x0[j])*rng.NormFloat64()
 			}
 		}
-		res, err := NelderMead(f, x, opts)
+		res, err := NelderMead(f, x)
 		if err != nil {
 			return NMResult{}, err
 		}
@@ -194,8 +194,8 @@ func TestMultiStartMatchesSerial(t *testing.T) {
 		for _, restarts := range []int{0, 1, 8, 30} {
 			for seed := uint64(1); seed <= 5; seed++ {
 				name := fmt.Sprintf("%s/restarts=%d/seed=%d", obj.name, restarts, seed)
-				want, werr := serialMultiStart(obj.f, obj.x0, restarts, 0.8, seed, NMOptions{})
-				got, gerr := MultiStart(obj.f, obj.x0, restarts, 0.8, seed, NMOptions{})
+				want, werr := serialMultiStart(obj.f, obj.x0, restarts, 0.8, seed)
+				got, gerr := MultiStart(obj.f, obj.x0, restarts, 0.8, seed)
 				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 					t.Errorf("%s: error %v, want %v", name, gerr, werr)
 					continue

@@ -136,7 +136,7 @@ func robustRefit(span *tele.Span, out *PlatformFit, obs []observation, tauF, tau
 		return
 	}
 	rb, err := MultiStart(huberObjective(obs, tauF, tauM, maxP, huberK*d.scale),
-		best.X, opts.Restarts, startSpread, opts.Seed+3, NMOptions{MaxIter: fitMaxIter})
+		best.X, perturbedStarts, startSpread, opts.Seed+3)
 	if err != nil || math.IsInf(rb.F, 0) {
 		span.Event("huber.refit.failed")
 		return // keep the least-squares fit; the grade will say C

@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -91,9 +92,6 @@ type Config struct {
 	// Mix maps op names to weights; zero-weight ops never fire. Nil
 	// means DefaultMix. Unknown names are an error.
 	Mix map[string]float64
-	// Platforms is the platform-id pool, hottest first (zipf rank 0 is
-	// the most queried). Nil means the Table I built-ins.
-	Platforms []string
 	// Timeout bounds each request. Zero means 5s.
 	Timeout time.Duration
 	// MaxRequests, when positive, stops the stream after that many
@@ -140,11 +138,6 @@ func (c Config) withDefaults() (Config, error) {
 	if total <= 0 {
 		return c, fmt.Errorf("loadgen: mix has no positive weights")
 	}
-	if len(c.Platforms) == 0 {
-		for _, p := range machine.All() {
-			c.Platforms = append(c.Platforms, string(p.ID))
-		}
-	}
 	return c, nil
 }
 
@@ -157,14 +150,15 @@ func (c Config) maxOutstanding() int {
 }
 
 // ParseMix parses a "query=50,roofline=20" flag value over DefaultMix:
-// named ops are overridden, unnamed ops keep their default weight.
+// named ops are overridden, unnamed ops keep their default weight. One
+// trailing comma is accepted; an empty entry anywhere else is not.
 func ParseMix(s string) (map[string]float64, error) {
 	mix := DefaultMix()
 	if s == "" {
 		return mix, nil
 	}
-	for _, part := range splitComma(s) {
-		name, val, ok := cutEq(part)
+	for _, part := range strings.Split(strings.TrimSuffix(s, ","), ",") {
+		name, val, ok := strings.Cut(part, "=")
 		if !ok {
 			return nil, fmt.Errorf("loadgen: mix entry %q is not name=weight", part)
 		}
@@ -178,31 +172,6 @@ func ParseMix(s string) (map[string]float64, error) {
 		mix[name] = w
 	}
 	return mix, nil
-}
-
-func splitComma(s string) []string {
-	var out []string
-	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != ',' {
-			i++
-		}
-		out = append(out, s[:i])
-		if i == len(s) {
-			break
-		}
-		s = s[i+1:]
-	}
-	return out
-}
-
-func cutEq(s string) (name, val string, ok bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '=' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return "", "", false
 }
 
 // intensityGrid is the quantized log-spaced intensity pool, 1/8 to 512
@@ -232,18 +201,18 @@ type generator struct {
 	rng       *stats.Stream
 	ops       []string  // positive-weight ops, name-sorted
 	cum       []float64 // cumulative weights over ops
-	platforms []string
+	platforms []string  // the Table I IDs; zipf rank 0 is the most queried
 	zipf      *zipfPicker
 	uploads   [][][]byte // pre-rendered upload bodies, [Table I base][id]
 	uploadN   int
 }
 
 func newGenerator(cfg Config) (*generator, error) {
-	g := &generator{
-		rng:       stats.NewStream(cfg.Seed, "loadgen"),
-		platforms: cfg.Platforms,
-		zipf:      newZipfPicker(len(cfg.Platforms), 1.1),
+	g := &generator{rng: stats.NewStream(cfg.Seed, "loadgen")}
+	for _, p := range machine.All() {
+		g.platforms = append(g.platforms, string(p.ID))
 	}
+	g.zipf = newZipfPicker(len(g.platforms), 1.1)
 	// Name-sorted op order makes the cumulative table (and so the whole
 	// stream) independent of map iteration order.
 	names := make([]string, 0, len(cfg.Mix))

@@ -155,7 +155,10 @@ func TestParseMix(t *testing.T) {
 	if mix[OpRoofline] != DefaultMix()[OpRoofline] {
 		t.Error("unnamed op lost its default weight")
 	}
-	for _, bad := range []string{"nope=1", "query", "query=x"} {
+	if mix, err := ParseMix("query=50,"); err != nil || mix[OpQuery] != 50 {
+		t.Errorf("ParseMix with a trailing comma = %v, %v; want query=50", mix, err)
+	}
+	for _, bad := range []string{"nope=1", "query", "query=x", "query=50,,roofline=1", ",query=50", ","} {
 		if _, err := ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) accepted", bad)
 		}

@@ -261,13 +261,3 @@ func ByPeakEfficiency() []*Platform {
 	})
 	return ps
 }
-
-// ByFig4Rank returns the platforms in fig. 4's left-to-right order
-// (descending median uncapped-model error).
-func ByFig4Rank() []*Platform {
-	ps := All()
-	sort.SliceStable(ps, func(i, j int) bool {
-		return ps[i].Paper.Fig4Rank < ps[j].Paper.Fig4Rank
-	})
-	return ps
-}

@@ -174,12 +174,11 @@ func TestFig5PanelOrder(t *testing.T) {
 }
 
 func TestFig4RankAndSignificance(t *testing.T) {
-	ranked := ByFig4Rank()
 	wantOrder := []ID{ArndaleGPU, NUCGPU, ArndaleCPU, GTX680, PandaBoard, GTXTitan,
 		GTX580, XeonPhi, DesktopCPU, NUCCPU, APUGPU, APUCPU}
 	for i, id := range wantOrder {
-		if ranked[i].ID != id {
-			t.Errorf("fig. 4 rank %d: got %s, want %s", i+1, ranked[i].ID, id)
+		if got := MustByID(id).Paper.Fig4Rank; got != i+1 {
+			t.Errorf("%s: fig. 4 rank %d, want %d", id, got, i+1)
 		}
 	}
 	// 7 of 12 platforms significant by K-S.

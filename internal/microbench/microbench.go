@@ -33,12 +33,6 @@ type Config struct {
 	// SweepPoints is the number of intensity-sweep kernels (log-spaced
 	// flops-per-word). Default 25.
 	SweepPoints int
-	// IncludeDouble adds a double-precision sweep on capable platforms.
-	IncludeDouble bool
-	// IncludeCache adds per-cache-level kernels.
-	IncludeCache bool
-	// IncludeChase adds the random-access kernel.
-	IncludeChase bool
 	// Workers bounds the kernel-level fan-out of Run and
 	// RunRobustContext: how many kernels are measured concurrently on
 	// this platform. Zero means NumCPU; the count is clamped by
@@ -52,12 +46,7 @@ type Config struct {
 
 // DefaultConfig is the full suite as the paper ran it.
 func DefaultConfig() Config {
-	return Config{
-		SweepPoints:   25,
-		IncludeDouble: true,
-		IncludeCache:  true,
-		IncludeChase:  true,
-	}
+	return Config{SweepPoints: 25}
 }
 
 // The suite's fixed protocol: the DRAM sweep log-spaces flops per word
@@ -75,7 +64,10 @@ const (
 // enough spread to separate the level's tau and eps in the fit.
 var cacheFPWs = []float64{0, 1, 4, 16}
 
-// BuildSuite constructs the kernel list for a platform.
+// BuildSuite constructs the paper's kernel list for a platform: the
+// single-precision DRAM sweep, a double-precision sweep where the
+// platform supports it, four kernels in each described cache level, and
+// the pointer chase where the platform has random-access data.
 func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
 	if cfg.SweepPoints < 2 {
 		return nil, fmt.Errorf("microbench: need at least 2 sweep points, got %d", cfg.SweepPoints)
@@ -93,7 +85,7 @@ func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
 			FlopsPerWord: fpw,
 			WorkingSet:   machine.DRAMWorkingSet,
 		}, targetRunTime))
-		if cfg.IncludeDouble && plat.SupportsDouble() {
+		if plat.SupportsDouble() {
 			kernels = append(kernels, tuned(plat, sim.Kernel{
 				Name:         fmt.Sprintf("sweep-dp-%02d", i),
 				Precision:    sim.Double,
@@ -104,34 +96,32 @@ func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
 		}
 	}
 
-	if cfg.IncludeCache {
-		if plat.L1 != nil {
-			for j, fpw := range cacheFPWs {
-				kernels = append(kernels, tuned(plat, sim.Kernel{
-					Name:         fmt.Sprintf("l1-%d", j),
-					Precision:    sim.Single,
-					Pattern:      sim.StreamPattern,
-					FlopsPerWord: fpw,
-					WorkingSet:   units.Bytes(plat.L1Size.Count() / 2),
-				}, targetRunTime))
-			}
+	if plat.L1 != nil {
+		for j, fpw := range cacheFPWs {
+			kernels = append(kernels, tuned(plat, sim.Kernel{
+				Name:         fmt.Sprintf("l1-%d", j),
+				Precision:    sim.Single,
+				Pattern:      sim.StreamPattern,
+				FlopsPerWord: fpw,
+				WorkingSet:   units.Bytes(plat.L1Size.Count() / 2),
+			}, targetRunTime))
 		}
-		if plat.L2 != nil {
-			for j, fpw := range cacheFPWs {
-				kernels = append(kernels, tuned(plat, sim.Kernel{
-					Name:         fmt.Sprintf("l2-%d", j),
-					Precision:    sim.Single,
-					Pattern:      sim.StreamPattern,
-					FlopsPerWord: fpw,
-					// Halfway between L1 and L2 capacity: resident in L2,
-					// too large for L1.
-					WorkingSet: units.Bytes((plat.L1Size.Count() + plat.L2Size.Count()) / 2),
-				}, targetRunTime))
-			}
+	}
+	if plat.L2 != nil {
+		for j, fpw := range cacheFPWs {
+			kernels = append(kernels, tuned(plat, sim.Kernel{
+				Name:         fmt.Sprintf("l2-%d", j),
+				Precision:    sim.Single,
+				Pattern:      sim.StreamPattern,
+				FlopsPerWord: fpw,
+				// Halfway between L1 and L2 capacity: resident in L2,
+				// too large for L1.
+				WorkingSet: units.Bytes((plat.L1Size.Count() + plat.L2Size.Count()) / 2),
+			}, targetRunTime))
 		}
 	}
 
-	if cfg.IncludeChase && plat.Rand != nil {
+	if plat.Rand != nil {
 		kernels = append(kernels, tuned(plat, sim.Kernel{
 			Name:       "chase",
 			Precision:  sim.Single,

@@ -17,7 +17,7 @@ import (
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig()
-	if cfg.SweepPoints != 25 || !cfg.IncludeDouble || !cfg.IncludeCache || !cfg.IncludeChase {
+	if cfg.SweepPoints != 25 {
 		t.Error("unexpected defaults")
 	}
 }
@@ -80,8 +80,9 @@ func TestBuildSuiteSkipsUnsupported(t *testing.T) {
 // TestQuickSuiteLevelsFollowSizes holds machine.FromJSON's level-size
 // rules to the simulator's capacity rule: on every description it
 // accepts, the suite's L1, L2 and DRAM stream kernels run from L1, L2
-// and DRAM. Sizes are drawn at the rules' edges and log-uniformly from
-// 1 B to 256 MiB, with each level described or not.
+// and DRAM, and its pointer chase in the random-access mode. Sizes are
+// drawn at the rules' edges and log-uniformly from 1 B to 256 MiB, with
+// each level described or not.
 func TestQuickSuiteLevelsFollowSizes(t *testing.T) {
 	raw, err := machine.Canonical(machine.MustByID(machine.DesktopCPU))
 	if err != nil {
@@ -99,7 +100,9 @@ func TestQuickSuiteLevelsFollowSizes(t *testing.T) {
 		}
 		return int64(math.Exp2(float64(u>>2) / (1 << 30) * 28))
 	}
-	want := map[string]model.MemLevel{"sweep": model.LevelDRAM, "l1": model.LevelL1, "l2": model.LevelL2}
+	want := map[string]model.MemLevel{
+		"sweep": model.LevelDRAM, "l1": model.LevelL1, "l2": model.LevelL2, "chase": model.LevelRand,
+	}
 	var accepted, rejected int
 	f := func(a, b uint32, describe uint8) bool {
 		m := maps.Clone(base)
@@ -120,7 +123,7 @@ func TestQuickSuiteLevelsFollowSizes(t *testing.T) {
 			return true
 		}
 		accepted++
-		kernels, err := BuildSuite(plat, Config{SweepPoints: 2, IncludeCache: true})
+		kernels, err := BuildSuite(plat, Config{SweepPoints: 2})
 		if err != nil {
 			t.Logf("%s: %v", body, err)
 			return false

@@ -96,9 +96,6 @@ func TestRunRobustDeterministic(t *testing.T) {
 	plat := machine.MustByID(machine.GTXTitan)
 	cfg := DefaultConfig()
 	cfg.SweepPoints = 6
-	cfg.IncludeDouble = false
-	cfg.IncludeCache = false
-	cfg.IncludeChase = false
 	run := func() (*Result, *RobustStats) {
 		sleep, _ := sleepRecorder(t)
 		res, rs, err := RunRobustContext(context.Background(), plat, cfg, robustOpts(faults.New(faults.Paper(), 7)),
@@ -132,9 +129,6 @@ func TestRunRobustAllRepeatsFailing(t *testing.T) {
 	plat := machine.MustByID(machine.GTXTitan)
 	cfg := DefaultConfig()
 	cfg.SweepPoints = 2
-	cfg.IncludeDouble = false
-	cfg.IncludeCache = false
-	cfg.IncludeChase = false
 	sleep, _ := sleepRecorder(t)
 	_, _, err := RunRobustContext(context.Background(), plat, cfg,
 		robustOpts(faults.New(prof, 7)), RobustConfig{Sleep: sleep})
@@ -250,9 +244,6 @@ func TestRunRobustSerializesSleep(t *testing.T) {
 	plat := machine.MustByID(machine.GTXTitan)
 	cfg := DefaultConfig()
 	cfg.SweepPoints = 16
-	cfg.IncludeDouble = false
-	cfg.IncludeCache = false
-	cfg.IncludeChase = false
 	cfg.Workers = 4
 	var inside atomic.Int32
 	n := 0
@@ -271,7 +262,11 @@ func TestRunRobustSerializesSleep(t *testing.T) {
 	}
 	// One retry per kernel repeat, plus one for the idle repeats, which
 	// share a single fault label and so a single disconnect episode.
-	if want := cfg.SweepPoints*rs.Repeats + 1; rs.Retries != want || n != want {
+	kernels, err := BuildSuite(plat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(kernels)*rs.Repeats + 1; rs.Retries != want || n != want {
 		t.Errorf("%d retries and %d waits, want %d", rs.Retries, n, want)
 	}
 }

@@ -100,19 +100,11 @@ func Crossover(a, b Params, m Metric, lo, hi units.Intensity) (units.Intensity, 
 	return units.Intensity(math.Exp((x0 + x1) / 2)), nil
 }
 
-// Crossovers scans [lo, hi] with n log-spaced probes and returns every
-// ordering flip found (each refined by bisection). Metric curves of two
-// machines can cross more than once when cap regimes interleave.
-func Crossovers(a, b Params, m Metric, lo, hi units.Intensity, n int) []units.Intensity {
-	if n < 2 || lo <= 0 || hi <= lo {
-		return nil
-	}
-	return CrossoversOnGrid(a, b, m, LogSpace(lo, hi, n))
-}
-
-// CrossoversOnGrid is Crossovers over a caller-supplied probe grid
-// (ascending intensities), so callers scanning several metric pairs
-// over the same range build the grid once instead of once per pair.
+// CrossoversOnGrid probes the metric at every intensity of grid
+// (ascending) and returns every ordering flip found, each refined by
+// bisection. Metric curves of two machines can cross more than once when
+// cap regimes interleave. Callers scanning several metric pairs over the
+// same range build the grid once.
 func CrossoversOnGrid(a, b Params, m Metric, grid []units.Intensity) []units.Intensity {
 	if len(grid) < 2 {
 		return nil

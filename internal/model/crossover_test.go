@@ -82,7 +82,8 @@ func TestCrossoversScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := Crossovers(titan, agg, MetricFlopRate, 0.125, 256, 400)
+	grid := LogSpace(0.125, 256, 400)
+	xs := CrossoversOnGrid(titan, agg, MetricFlopRate, grid)
 	if len(xs) == 0 {
 		t.Fatal("power-matched aggregate should cross Titan in performance")
 	}
@@ -98,8 +99,8 @@ func TestCrossoversScan(t *testing.T) {
 	if !(titan.FlopRateAt(128) > agg.FlopRateAt(128)) {
 		t.Error("Titan should win at I=128")
 	}
-	if Crossovers(titan, agg, MetricFlopRate, 0.125, 256, 1) != nil {
-		t.Error("n<2 should return nil")
+	if CrossoversOnGrid(titan, agg, MetricFlopRate, grid[:1]) != nil {
+		t.Error("a one-point grid should return nil")
 	}
 }
 

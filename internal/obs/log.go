@@ -47,15 +47,10 @@ func (h ctxHandler) WithGroup(name string) slog.Handler {
 	return ctxHandler{inner: h.inner.WithGroup(name), records: h.records}
 }
 
-// NewLogger returns a structured JSON logger writing to w, with
+// NewCountedLogger returns a structured JSON logger writing to w, with
 // request-ID and span correlation injected from the context passed to
-// each logging call.
-func NewLogger(w io.Writer) *slog.Logger {
-	return slog.New(ctxHandler{inner: slog.NewJSONHandler(w, nil)})
-}
-
-// NewCountedLogger is NewLogger plus a counter of emitted records, for
-// the obs_log_records_total self-metric.
+// each logging call, and a counter of the records it emitted, for the
+// obs_log_records_total self-metric.
 func NewCountedLogger(w io.Writer) (*slog.Logger, func() int64) {
 	n := &atomic.Int64{}
 	return slog.New(ctxHandler{inner: slog.NewJSONHandler(w, nil), records: n}), n.Load

@@ -38,7 +38,7 @@ func TestLoggerInjectsCorrelation(t *testing.T) {
 
 func TestLoggerWithoutContextValues(t *testing.T) {
 	var buf bytes.Buffer
-	logger := NewLogger(&buf)
+	logger, _ := NewCountedLogger(&buf)
 	logger.LogAttrs(context.Background(), slog.LevelWarn, "plain")
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {

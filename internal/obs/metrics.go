@@ -216,26 +216,6 @@ func (v *CounterVec) With(labelValues ...string) Counter {
 	return Counter{s: v.fam.with(labelValues)}
 }
 
-// Sum totals the family across all series. Keys are sorted so the
-// float accumulation order (and thus the rounding) is deterministic.
-func (v *CounterVec) Sum() float64 {
-	v.fam.mu.Lock()
-	defer v.fam.mu.Unlock()
-	keys := make([]string, 0, len(v.fam.series))
-	for k := range v.fam.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	total := 0.0
-	for _, k := range keys {
-		s := v.fam.series[k]
-		s.mu.Lock()
-		total += s.value
-		s.mu.Unlock()
-	}
-	return total
-}
-
 // Len reports how many series the family holds. Writes refused by the
 // cardinality cap create no series, so Len saturates at the cap.
 func (v *CounterVec) Len() int {
@@ -278,18 +258,8 @@ func (v *GaugeVec) With(labelValues ...string) Gauge {
 	return Gauge{s: v.fam.with(labelValues)}
 }
 
-// Gauge is one settable series.
+// Gauge is one series that moves up and down.
 type Gauge struct{ s *series }
-
-// Set replaces the gauge's value.
-func (g Gauge) Set(v float64) {
-	if g.s == nil {
-		return
-	}
-	g.s.mu.Lock()
-	g.s.value = v
-	g.s.mu.Unlock()
-}
 
 // Add shifts the gauge by delta (negative deltas decrease it).
 func (g Gauge) Add(delta float64) {

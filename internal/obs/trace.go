@@ -67,10 +67,6 @@ func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{w: w, now: time.Now}
 }
 
-// SetClock replaces the tracer's clock. Call before any span starts;
-// tests use it to pin timestamps.
-func (t *Tracer) SetClock(now func() time.Time) { t.now = now }
-
 // Stats snapshots the tracer's self-counters.
 func (t *Tracer) Stats() TracerStats {
 	return TracerStats{

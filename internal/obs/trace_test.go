@@ -39,7 +39,7 @@ func parseLines(t *testing.T, buf *bytes.Buffer) []map[string]any {
 func TestSpanTreeExport(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	tr.SetClock(stepClock(time.Millisecond))
+	tr.now = stepClock(time.Millisecond)
 	ctx := WithTracer(context.Background(), tr)
 
 	ctx, root := Start(ctx, "suite", String("platform", "gtx-titan"))
@@ -157,7 +157,7 @@ func TestDeterministicExport(t *testing.T) {
 	run := func() string {
 		var buf bytes.Buffer
 		tr := NewTracer(&buf)
-		tr.SetClock(stepClock(time.Millisecond))
+		tr.now = stepClock(time.Millisecond)
 		ctx := WithTracer(context.Background(), tr)
 		ctx, root := Start(ctx, "a", Float("x", 1.5))
 		_, child := Start(ctx, "b")

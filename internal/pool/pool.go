@@ -1,11 +1,10 @@
 // Package pool is the one bounded-worker-pool implementation the
 // engine's fan-out layers share. The experiment drivers fan out over
 // the twelve platforms; microbench.Run and microbench.RunRobustContext
-// fan out over one platform's suite kernels; fit.Bootstrap fans out over
-// its replicate fits and fit.MultiStart over its starts. All of them
-// run seeded-deterministic work whose outputs must not depend on
-// scheduling, so they all use the same order-stable Map and the same
-// worker-count policy.
+// fan out over one platform's suite kernels; fit.MultiStart fans out
+// over its starts. All of them run seeded-deterministic work whose
+// outputs must not depend on scheduling, so they all use the same
+// order-stable Map and the same worker-count policy.
 //
 // Worker-count policy (Clamp, the single source of truth — the layers
 // must not reimplement it):

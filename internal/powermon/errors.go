@@ -35,8 +35,6 @@ var (
 	ErrBadShareSum     = fmt.Errorf("powermon: channel shares must sum to 1: %w", ErrPermanent)
 	ErrBadDuration     = fmt.Errorf("powermon: duration must be positive: %w", ErrPermanent)
 	ErrNilSignal       = fmt.Errorf("powermon: nil signal: %w", ErrPermanent)
-	ErrEmptyTrace      = fmt.Errorf("powermon: empty trace: %w", ErrPermanent)
-	ErrMalformedTrace  = fmt.Errorf("powermon: malformed trace row: %w", ErrPermanent)
 	// ErrTraceTooLong reports a run that would record more than
 	// maxTraceSamples per channel, or a non-finite sample count.
 	ErrTraceTooLong = fmt.Errorf("powermon: recording exceeds %d samples per channel: %w",

@@ -19,7 +19,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"archline/internal/stats"
@@ -236,54 +235,4 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a trace written by WriteCSV. The duration is recovered
-// as the latest timestamp plus half the median sampling interval.
-func ReadCSV(r io.Reader) (*Trace, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) < 2 {
-		return nil, ErrEmptyTrace
-	}
-	byChan := map[string][]Sample{}
-	var order []string
-	maxT := 0.0
-	for _, row := range rows[1:] {
-		if len(row) != 4 {
-			return nil, fmt.Errorf("row %v: %w", row, ErrMalformedTrace)
-		}
-		ts, err1 := strconv.ParseFloat(row[1], 64)
-		v, err2 := strconv.ParseFloat(row[2], 64)
-		i, err3 := strconv.ParseFloat(row[3], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("row %v: %w", row, ErrMalformedTrace)
-		}
-		if _, ok := byChan[row[0]]; !ok {
-			order = append(order, row[0])
-		}
-		byChan[row[0]] = append(byChan[row[0]], Sample{T: units.Time(ts), V: v, I: i})
-		if ts > maxT {
-			maxT = ts
-		}
-	}
-	tr := &Trace{}
-	for _, name := range order {
-		ss := byChan[name]
-		sort.Slice(ss, func(a, b int) bool { return ss[a].T < ss[b].T })
-		tr.Channels = append(tr.Channels, ChannelTrace{Channel: name, Samples: ss})
-	}
-	// Recover duration: samples are mid-interval, so the run extends half
-	// an interval past the last sample.
-	first := tr.Channels[0].Samples
-	if len(first) >= 2 {
-		dt := (first[1].T - first[0].T).Seconds()
-		tr.Duration = units.Time(maxT + dt/2)
-	} else {
-		tr.Duration = units.Time(2 * maxT)
-	}
-	return tr, nil
 }

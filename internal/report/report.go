@@ -100,36 +100,3 @@ func PanelHeader(p *machine.Platform) string {
 		units.FormatPower(p.Single.Pi1),
 		units.FormatPower(p.Single.DeltaPi))
 }
-
-// Percent formats a ratio as a bracketed percentage, the paper's style.
-func Percent(frac float64) string { return fmt.Sprintf("[%.0f%%]", 100*frac) }
-
-// Markdown renders the table as a GitHub-flavoured markdown table. The
-// title, when present, becomes a bold caption line.
-func (t *Table) Markdown() string {
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", t.Title)
-	}
-	writeRow := func(cells []string) {
-		b.WriteString("|")
-		for i := 0; i < len(t.Headers); i++ {
-			c := ""
-			if i < len(cells) {
-				c = cells[i]
-			}
-			b.WriteString(" " + strings.ReplaceAll(c, "|", "\\|") + " |")
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Headers)
-	sep := make([]string, len(t.Headers))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	writeRow(sep)
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return b.String()
-}

@@ -53,15 +53,6 @@ func TestPanelHeader(t *testing.T) {
 	}
 }
 
-func TestPercent(t *testing.T) {
-	if Percent(0.81) != "[81%]" {
-		t.Errorf("got %q", Percent(0.81))
-	}
-	if Percent(1.0) != "[100%]" {
-		t.Errorf("got %q", Percent(1.0))
-	}
-}
-
 func TestPlotRender(t *testing.T) {
 	p := &Plot{
 		Title:  "power",
@@ -186,19 +177,4 @@ func TestBoxplot(t *testing.T) {
 // statsFive builds a FiveNumber directly.
 func statsFive(min, q1, med, q3, max float64) stats.FiveNumber {
 	return stats.FiveNumber{Min: min, Q1: q1, Median: med, Q3: q3, Max: max}
-}
-
-func TestTableMarkdown(t *testing.T) {
-	tb := &Table{Title: "cap", Headers: []string{"a", "b"}}
-	tb.AddRow("1", "x|y")
-	md := tb.Markdown()
-	for _, want := range []string{"**cap**", "| a | b |", "| --- | --- |", `x\|y`} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-	lines := strings.Split(strings.TrimSpace(md), "\n")
-	if len(lines) != 5 { // caption, blank, header, separator, row
-		t.Errorf("line count %d:\n%s", len(lines), md)
-	}
 }

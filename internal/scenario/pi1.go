@@ -79,59 +79,3 @@ func Pi1Reduction(platforms []*machine.Platform, lo, hi units.Intensity) ([]Pi1S
 	}
 	return out, nil
 }
-
-// CapPareto traces the time-energy trade-off of throttling: for a
-// workload at intensity i, each cap setting yields a (time, energy) pair
-// per flop; the curve is the Pareto frontier power bounding navigates.
-// It also reports the cap minimizing the energy-delay product.
-type CapPareto struct {
-	I      units.Intensity
-	Points []CapParetoPoint
-	// EDPOptimalFrac is the cap fraction minimizing E*T per flop.
-	EDPOptimalFrac float64
-}
-
-// CapParetoPoint is one cap setting's cost per flop.
-type CapParetoPoint struct {
-	Frac          float64
-	TimePerFlop   float64 // seconds per flop
-	EnergyPerFlop float64 // joules per flop
-}
-
-// ParetoCap sweeps cap fractions over (0, 1] for a machine at intensity
-// i. n controls the sweep resolution.
-func ParetoCap(p model.Params, i units.Intensity, n int) (*CapPareto, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if i <= 0 {
-		return nil, errors.New("scenario: intensity must be positive")
-	}
-	if n < 2 {
-		return nil, errors.New("scenario: need at least 2 sweep points")
-	}
-	out := &CapPareto{I: i}
-	bestEDP := 0.0
-	for k := 1; k <= n; k++ {
-		frac := float64(k) / float64(n)
-		capped, err := p.WithCap(frac)
-		if err != nil {
-			return nil, err
-		}
-		rate := capped.FlopRateAt(i).FlopsPerSec()
-		if rate <= 0 {
-			continue
-		}
-		t := 1 / rate
-		e := capped.EnergyPerFlopAt(i).JoulesPerFlop()
-		out.Points = append(out.Points, CapParetoPoint{Frac: frac, TimePerFlop: t, EnergyPerFlop: e})
-		if edp := e * t; bestEDP == 0 || edp < bestEDP {
-			bestEDP = edp
-			out.EDPOptimalFrac = frac
-		}
-	}
-	if len(out.Points) == 0 {
-		return nil, errors.New("scenario: no feasible cap settings")
-	}
-	return out, nil
-}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"archline/internal/machine"
-	"archline/internal/model"
 )
 
 func TestPi1Reduction(t *testing.T) {
@@ -64,70 +63,6 @@ func TestPi1Reduction(t *testing.T) {
 	}
 	if _, err := Pi1Reduction(machine.All(), 10, 1); err == nil {
 		t.Error("bad range should error")
-	}
-}
-
-func TestParetoCap(t *testing.T) {
-	p := titan()
-	pc, err := ParetoCap(p, 16, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pc.Points) == 0 {
-		t.Fatal("no points")
-	}
-	// Along the sweep, time per flop is non-increasing in frac and
-	// energy behaviour is the trade-off: check the frontier property at
-	// the ends.
-	first, last := pc.Points[0], pc.Points[len(pc.Points)-1]
-	if first.TimePerFlop < last.TimePerFlop {
-		t.Error("tighter cap must not be faster")
-	}
-	// EDP optimum is attainable and within (0, 1].
-	if pc.EDPOptimalFrac <= 0 || pc.EDPOptimalFrac > 1 {
-		t.Errorf("EDP-optimal frac %v", pc.EDPOptimalFrac)
-	}
-	// EDP at the optimum beats the endpoints.
-	edp := func(pt CapParetoPoint) float64 { return pt.TimePerFlop * pt.EnergyPerFlop }
-	var opt CapParetoPoint
-	for _, pt := range pc.Points {
-		if pt.Frac == pc.EDPOptimalFrac {
-			opt = pt
-		}
-	}
-	if edp(opt) > edp(first)*(1+1e-12) || edp(opt) > edp(last)*(1+1e-12) {
-		t.Error("EDP optimum should beat the sweep endpoints")
-	}
-
-	// On a machine with abundant power, any cap above pi_flop is free:
-	// the EDP optimum ties with full cap and must not sacrifice speed.
-	roomy := p
-	roomy.DeltaPi = 1000
-	pc2, err := ParetoCap(roomy, 1024, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var opt2 CapParetoPoint
-	for _, pt := range pc2.Points {
-		if pt.Frac == pc2.EDPOptimalFrac {
-			opt2 = pt
-		}
-	}
-	full := pc2.Points[len(pc2.Points)-1]
-	if math.Abs(opt2.TimePerFlop-full.TimePerFlop) > 1e-15*full.TimePerFlop {
-		t.Errorf("EDP optimum on a roomy machine should retain full speed: %v vs %v",
-			opt2.TimePerFlop, full.TimePerFlop)
-	}
-
-	// Errors.
-	if _, err := ParetoCap(model.Params{}, 1, 8); err == nil {
-		t.Error("invalid machine should error")
-	}
-	if _, err := ParetoCap(p, 0, 8); err == nil {
-		t.Error("zero intensity should error")
-	}
-	if _, err := ParetoCap(p, 1, 1); err == nil {
-		t.Error("n<2 should error")
 	}
 }
 

@@ -29,15 +29,9 @@ type Series struct {
 	Points []MetricPoint
 }
 
-// SweepMetric evaluates a metric for a machine over a grid.
-func SweepMetric(name string, p model.Params, m model.Metric, grid []units.Intensity) Series {
-	k := model.NewKernel(p)
-	return sweepKernel(make([]MetricPoint, 0, len(grid)), name, &k, m, grid)
-}
-
 // sweepKernel appends one metric curve evaluated through a prebuilt
-// coefficient table. Shared by SweepMetric and CompareBlocks, which
-// reuses one kernel across its three metrics per machine.
+// coefficient table, so CompareBlocks reuses one kernel across its three
+// metrics per machine.
 func sweepKernel(dst []MetricPoint, name string, k *model.Kernel, m model.Metric, grid []units.Intensity) Series {
 	for _, i := range grid {
 		dst = append(dst, MetricPoint{I: i, Value: k.MetricAt(m, i.Ratio())})

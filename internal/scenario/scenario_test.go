@@ -268,7 +268,8 @@ func TestPowerBoundErrors(t *testing.T) {
 
 func TestSweepMetric(t *testing.T) {
 	grid := model.LogSpace(1, 4, 3)
-	s := SweepMetric("titan", titan(), model.MetricAvgPower, grid)
+	k := model.NewKernel(titan())
+	s := sweepKernel(nil, "titan", &k, model.MetricAvgPower, grid)
 	if s.Name != "titan" || len(s.Points) != 3 {
 		t.Fatal("series shape")
 	}

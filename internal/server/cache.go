@@ -60,13 +60,6 @@ func (c *lruCache) put(key string, resp *cachedResponse) {
 	}
 }
 
-// size reports the current entry count.
-func (c *lruCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // flightGroup deduplicates concurrent identical computations: while one
 // caller computes a key, later callers for the same key wait and share
 // the result instead of recomputing. This is the stdlib-only analogue of

@@ -34,7 +34,7 @@ func TestLRUBasics(t *testing.T) {
 	if _, ok := c.get("c"); !ok {
 		t.Error("c should be present")
 	}
-	if n := c.size(); n != 2 {
+	if n := c.order.Len(); n != 2 {
 		t.Errorf("size = %d, want 2", n)
 	}
 }
@@ -46,7 +46,7 @@ func TestLRUOverwrite(t *testing.T) {
 	if got, _ := c.get("a"); string(got.body) != "A2" {
 		t.Errorf("overwrite lost: %s", got.body)
 	}
-	if n := c.size(); n != 1 {
+	if n := c.order.Len(); n != 1 {
 		t.Errorf("size = %d, want 1 after overwrite", n)
 	}
 }

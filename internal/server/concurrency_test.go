@@ -203,8 +203,20 @@ func TestHammerMixedEndpoints(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := s.Metrics().Requests(); got < clients*5 {
-		t.Errorf("requests recorded = %d, want >= %d", got, clients*5)
+	// Every finished request lands in one archlined_requests_total
+	// series; their samples sum to the total.
+	requests := 0.0
+	for _, line := range strings.Split(s.Metrics().Render(), "\n") {
+		if name, value, _ := strings.Cut(line, " "); strings.HasPrefix(name, "archlined_requests_total{") {
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("requests sample %q: %v", line, err)
+			}
+			requests += v
+		}
+	}
+	if requests < clients*5 {
+		t.Errorf("requests recorded = %v, want >= %d", requests, clients*5)
 	}
 }
 

@@ -49,7 +49,7 @@ type fitRequest struct {
 	// Repeats is the per-kernel robust repeat count (default 3, max 10).
 	Repeats int `json:"repeats,omitempty"`
 	// SweepPoints overrides the suite's intensity grid size (default
-	// from microbench.DefaultConfig, max 256).
+	// from microbench.DefaultConfig, min fit.MinSweepPoints, max 256).
 	SweepPoints int `json:"sweep_points,omitempty"`
 }
 
@@ -171,8 +171,9 @@ func (s *Server) handleFitSubmit(w http.ResponseWriter, r *http.Request) (any, *
 	if req.Repeats < 0 || req.Repeats > maxFitRepeats {
 		return nil, errBadRequest("repeats must be in [0, %d], got %d", maxFitRepeats, req.Repeats)
 	}
-	if req.SweepPoints < 0 || req.SweepPoints > maxFitSweepPoints {
-		return nil, errBadRequest("sweep_points must be in [0, %d], got %d", maxFitSweepPoints, req.SweepPoints)
+	if req.SweepPoints != 0 && (req.SweepPoints < fit.MinSweepPoints || req.SweepPoints > maxFitSweepPoints) {
+		return nil, errBadRequest("sweep_points must be 0 (the default) or in [%d, %d], got %d",
+			fit.MinSweepPoints, maxFitSweepPoints, req.SweepPoints)
 	}
 	spec := fitSpec{
 		plat:        plat,

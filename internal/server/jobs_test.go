@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"archline/internal/fit"
 	"archline/internal/jobs"
 	"archline/internal/machine"
 	"archline/internal/powermon"
@@ -294,11 +295,18 @@ func TestFitSubmitValidation(t *testing.T) {
 			http.StatusBadRequest, "bad_request"},
 		{"sweep points beyond cap", `{"platform_id":"gtx-titan","sweep_points":1000}`,
 			http.StatusBadRequest, "bad_request"},
+		{"one sweep point", `{"platform_id":"gtx-titan","sweep_points":1}`,
+			http.StatusBadRequest, "bad_request"},
+		{"five sweep points", `{"platform_id":"gtx-titan","sweep_points":5}`,
+			http.StatusBadRequest, "bad_request"},
 		{"unknown field", `{"platform_id":"gtx-titan","bogus":1}`,
 			http.StatusBadRequest, "bad_request"},
 	} {
 		status, body := post(t, ts.URL+"/v1/fit", tc.body)
 		wantError(t, status, body, tc.status, tc.code)
+		if strings.Contains(tc.body, "sweep_points") && !strings.Contains(string(body), "sweep_points") {
+			t.Errorf("%s: refusal does not name sweep_points: %s", tc.name, body)
+		}
 	}
 
 	// An inline platform whose L1 has no size is refused at submit; it
@@ -321,6 +329,22 @@ func TestFitSubmitValidation(t *testing.T) {
 	wantError(t, status, resp, http.StatusBadRequest, "bad_request")
 	if !strings.Contains(string(resp), "l1_size_bytes") {
 		t.Errorf("refusal %s does not name l1_size_bytes", resp)
+	}
+}
+
+// TestFitSubmitMinSweepPoints pins the lower edge of sweep_points that
+// TestFitSubmitValidation refuses below: at fit.MinSweepPoints a job is
+// accepted and its fit succeeds.
+func TestFitSubmitMinSweepPoints(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	status, body := post(t, ts.URL+"/v1/fit",
+		fmt.Sprintf(`{"platform_id":"gtx-titan","fault_profile":"paper","sweep_points":%d}`, fit.MinSweepPoints))
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status = %d: %s", status, body)
+	}
+	id, _ := decode(t, body)["id"].(string)
+	if final := pollJob(t, ts.URL, id, 60*time.Second); final["state"] != "done" {
+		t.Fatalf("job state = %v (error %v), want done", final["state"], final["error"])
 	}
 }
 

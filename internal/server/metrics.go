@@ -347,20 +347,8 @@ func (m *Metrics) noteChaos() { m.chaos.Inc() }
 // InFlight reports the current in-flight request count.
 func (m *Metrics) InFlight() int64 { return int64(m.inFlight.Value()) }
 
-// Shed reports the total load-shed requests so far.
-func (m *Metrics) Shed() int64 { return int64(m.shed.Value()) }
-
-// ChaosInjected reports the total chaos-injected failures so far.
-func (m *Metrics) ChaosInjected() int64 { return int64(m.chaos.Value()) }
-
 // ModelEvals reports the total model evaluations so far.
 func (m *Metrics) ModelEvals() int64 { return int64(m.modelEvals.Value()) }
-
-// CacheHits reports the total cache hits so far.
-func (m *Metrics) CacheHits() int64 { return int64(m.cacheHits.Value()) }
-
-// Requests reports the total finished requests across all endpoints.
-func (m *Metrics) Requests() int64 { return int64(m.requests.Sum()) }
 
 // Render emits the text exposition. Families and series are key-sorted
 // and the clock is injectable, so two renders of the same state are

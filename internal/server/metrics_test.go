@@ -91,7 +91,7 @@ func TestMetricsConcurrentRender(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := m.Requests(); got != 1600 {
+	if got := m.requests.With("/v1/query", "200").Value(); got != 1600 {
 		t.Errorf("requests total = %v, want 1600", got)
 	}
 	if !strings.Contains(m.Render(), `archlined_request_latency_samples{endpoint="/v1/query"} 1024`) {

@@ -188,7 +188,7 @@ func TestPlatformReuploadInvalidatesCache(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatalf("identical queries disagree:\n%s\n%s", first, second)
 	}
-	if hits := s.metrics.CacheHits(); hits != 1 {
+	if hits := int64(s.metrics.cacheHits.Value()); hits != 1 {
 		t.Fatalf("cache hits = %d, want 1", hits)
 	}
 
@@ -295,11 +295,11 @@ func TestPlatformReuploadLateStore(t *testing.T) {
 	if n := s.ModelEvals() - evals; n != 1 {
 		t.Errorf("first v2 read cost %d model evaluations, want 1", n)
 	}
-	hits := s.metrics.CacheHits()
+	hits := int64(s.metrics.cacheHits.Value())
 	if _, got := get(t, ts.URL+url); !bytes.Equal(got, want) {
 		t.Fatal("repeat v2 read differs")
 	}
-	if s.metrics.CacheHits() != hits+1 || s.ModelEvals() != evals+1 {
+	if int64(s.metrics.cacheHits.Value()) != hits+1 || s.ModelEvals() != evals+1 {
 		t.Error("repeat v2 read missed the cache")
 	}
 }

@@ -102,8 +102,8 @@ func TestLoadSheddingStorm(t *testing.T) {
 
 	close(release)
 	occupiers.Wait()
-	if got := s.Metrics().Shed(); got != surplus {
-		t.Errorf("Shed() = %d, want %d", got, surplus)
+	if got := int64(s.metrics.shed.Value()); got != surplus {
+		t.Errorf("shed = %d, want %d", got, surplus)
 	}
 }
 
@@ -216,7 +216,7 @@ func TestBreakerEndToEnd(t *testing.T) {
 	if !strings.Contains(s.metrics.Render(), "archlined_breaker_state 2") {
 		t.Error("metrics do not show the breaker open")
 	}
-	if got := s.Metrics().ChaosInjected(); got != DefaultBreakerMinSamples {
+	if got := int64(s.metrics.chaos.Value()); got != DefaultBreakerMinSamples {
 		t.Errorf("chaos injected = %d, want %d", got, DefaultBreakerMinSamples)
 	}
 
@@ -269,7 +269,7 @@ func TestChaosDegradationContract(t *testing.T) {
 	if status, body := get(t, ts.URL+"/healthz"); status != http.StatusOK {
 		t.Errorf("healthz under chaos: %d %s", status, body)
 	}
-	want := fmt.Sprintf("archlined_chaos_injected_total %d", s.Metrics().ChaosInjected())
+	want := fmt.Sprintf("archlined_chaos_injected_total %d", int64(s.metrics.chaos.Value()))
 	if status, expo := get(t, ts.URL+"/metrics"); status != http.StatusOK || !strings.Contains(string(expo), want) {
 		t.Errorf("metrics under chaos: status %d, missing %q", status, want)
 	}

@@ -450,7 +450,7 @@ func TestCacheDeterminism(t *testing.T) {
 	if n := s.ModelEvals(); n != 1 {
 		t.Errorf("model evals = %d, want 1 (second request must hit the cache)", n)
 	}
-	if h := s.Metrics().CacheHits(); h != 1 {
+	if h := int64(s.metrics.cacheHits.Value()); h != 1 {
 		t.Errorf("cache hits = %d, want 1", h)
 	}
 	// The hit still counts against its platform: the per-platform

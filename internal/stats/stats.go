@@ -28,52 +28,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased (n-1) sample variance, or NaN when fewer
-// than two observations are available.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element, or NaN for an empty sample.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element, or NaN for an empty sample.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics (type-7, the R default the paper's
 // boxplots were produced with). It returns NaN for an empty sample or q
@@ -244,35 +198,6 @@ func kolmogorovQ(lambda float64) float64 {
 		sign = -sign
 	}
 	return 1 // failed to converge: be conservative, do not reject
-}
-
-// ECDF returns the empirical CDF of xs evaluated at x: the fraction of
-// observations <= x.
-func ECDF(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	c := 0
-	for _, v := range xs {
-		if v <= x {
-			c++
-		}
-	}
-	return float64(c) / float64(len(xs))
-}
-
-// RelativeErrors returns (model - measured) / measured for each pair, the
-// error metric of fig. 4. Pairs with measured == 0 yield +/-Inf as IEEE
-// division dictates; callers filter if needed.
-func RelativeErrors(model, measured []float64) ([]float64, error) {
-	if len(model) != len(measured) {
-		return nil, errors.New("stats: mismatched sample lengths")
-	}
-	out := make([]float64, len(model))
-	for i := range model {
-		out[i] = (model[i] - measured[i]) / measured[i]
-	}
-	return out, nil
 }
 
 // AbsMedian returns the median of |xs|, a robust magnitude summary used

@@ -1,15 +1,14 @@
 // Package trace analyses time-resolved power recordings: the
 // PowerMon-style sample streams produced by internal/powermon. It
-// reconstructs the total-power timeline across supply rails, integrates
-// cumulative energy, and segments a run into phases of distinct power
-// draw — the trace-level view a measurement study needs when a benchmark
-// alternates between compute-heavy and memory-heavy sections.
+// reconstructs the total-power timeline across supply rails, smooths it,
+// and segments a run into phases of distinct power draw — the
+// trace-level view a measurement study needs when a benchmark alternates
+// between compute-heavy and memory-heavy sections.
 package trace
 
 import (
 	"errors"
 	"math"
-	"sort"
 
 	"archline/internal/powermon"
 	"archline/internal/units"
@@ -49,44 +48,6 @@ func FromTrace(tr *powermon.Trace) ([]Point, error) {
 	return pts, nil
 }
 
-// Energy integrates the timeline by the trapezoid rule over [0, end],
-// extending the first and last samples to the interval edges (samples
-// are mid-interval).
-func Energy(pts []Point, end units.Time) (units.Energy, error) {
-	if len(pts) == 0 {
-		return 0, errors.New("trace: no points")
-	}
-	if end <= 0 {
-		return 0, errors.New("trace: end must be positive")
-	}
-	e := pts[0].P.Watts() * pts[0].T.Seconds() // leading edge
-	for k := 1; k < len(pts); k++ {
-		dt := (pts[k].T - pts[k-1].T).Seconds()
-		e += 0.5 * (pts[k].P.Watts() + pts[k-1].P.Watts()) * dt
-	}
-	last := pts[len(pts)-1]
-	if tail := (end - last.T).Seconds(); tail > 0 {
-		e += last.P.Watts() * tail
-	}
-	return units.Energy(e), nil
-}
-
-// Cumulative returns the running energy at each sample time.
-func Cumulative(pts []Point) []units.Energy {
-	out := make([]units.Energy, len(pts))
-	if len(pts) == 0 {
-		return out
-	}
-	acc := pts[0].P.Watts() * pts[0].T.Seconds()
-	out[0] = units.Energy(acc)
-	for k := 1; k < len(pts); k++ {
-		dt := (pts[k].T - pts[k-1].T).Seconds()
-		acc += 0.5 * (pts[k].P.Watts() + pts[k-1].P.Watts()) * dt
-		out[k] = units.Energy(acc)
-	}
-	return out
-}
-
 // MovingAverage smooths the timeline with a centred window of the given
 // odd width (even widths are rounded up).
 func MovingAverage(pts []Point, window int) []Point {
@@ -115,35 +76,12 @@ func MovingAverage(pts []Point, window int) []Point {
 	return out
 }
 
-// Percentile returns the q-quantile of the power values.
-func Percentile(pts []Point, q float64) units.Power {
-	if len(pts) == 0 || q < 0 || q > 1 {
-		return units.Power(math.NaN())
-	}
-	vals := make([]float64, len(pts))
-	for i, p := range pts {
-		vals[i] = p.P.Watts()
-	}
-	sort.Float64s(vals)
-	h := q * float64(len(vals)-1)
-	lo := int(math.Floor(h))
-	hi := int(math.Ceil(h))
-	if lo == hi {
-		return units.Power(vals[lo])
-	}
-	frac := h - float64(lo)
-	return units.Power(vals[lo]*(1-frac) + vals[hi]*frac)
-}
-
 // Phase is a contiguous run of samples with approximately constant power.
 type Phase struct {
 	Start, End units.Time
 	AvgPower   units.Power
 	Samples    int
 }
-
-// Duration returns End - Start.
-func (p Phase) Duration() units.Time { return p.End - p.Start }
 
 // DetectPhases segments the timeline by two-window change-point
 // detection: at each index it compares the mean of the preceding minLen
@@ -192,7 +130,7 @@ func DetectPhases(pts []Point, minLen int, relThreshold float64) ([]Phase, error
 			continue
 		}
 		isMax := true
-		for j := maxInt(m, k-m); j <= minInt(n-m, k+m); j++ {
+		for j := max(m, k-m); j <= min(n-m, k+m); j++ {
 			//archlint:ignore floatcmp exact tie-break keeps peak selection deterministic
 			if diff[j] > diff[k] || (diff[j] == diff[k] && j < k) {
 				isMax = j == k
@@ -227,18 +165,4 @@ func summarise(pts []Point, lo, hi int) Phase {
 		AvgPower: units.Power(sum / float64(hi-lo)),
 		Samples:  hi - lo,
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

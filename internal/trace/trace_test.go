@@ -55,54 +55,6 @@ func TestFromTraceSumsRails(t *testing.T) {
 	}
 }
 
-func TestEnergyTrapezoid(t *testing.T) {
-	// Constant 100 W over 2 s: 200 J regardless of sampling.
-	pts := flatPoints(100, 64, 2.0/64)
-	e, err := Energy(pts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, float64(e), 200, 1e-9, "constant energy")
-
-	// Linear ramp 0->100 W over 1 s: 50 J.
-	n := 1000
-	ramp := make([]Point, n)
-	for k := range ramp {
-		ts := (float64(k) + 0.5) / float64(n)
-		ramp[k] = Point{T: units.Time(ts), P: units.Power(100 * ts)}
-	}
-	e, err = Energy(ramp, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, float64(e), 50, 1e-3, "ramp energy")
-
-	if _, err := Energy(nil, 1); err == nil {
-		t.Error("no points should error")
-	}
-	if _, err := Energy(pts, 0); err == nil {
-		t.Error("zero end should error")
-	}
-}
-
-func TestCumulative(t *testing.T) {
-	pts := flatPoints(10, 10, 0.1)
-	cum := Cumulative(pts)
-	if len(cum) != 10 {
-		t.Fatal("length")
-	}
-	// Monotone, ending near 10 W * ~0.95 s.
-	for k := 1; k < len(cum); k++ {
-		if cum[k] < cum[k-1] {
-			t.Fatal("cumulative energy must be monotone")
-		}
-	}
-	approx(t, float64(cum[len(cum)-1]), 10*0.95, 1e-6, "final cumulative")
-	if len(Cumulative(nil)) != 0 {
-		t.Error("empty input")
-	}
-}
-
 func TestMovingAverage(t *testing.T) {
 	pts := flatPoints(5, 20, 0.05)
 	pts[10].P = 50 // spike
@@ -117,22 +69,6 @@ func TestMovingAverage(t *testing.T) {
 	}
 	if got := MovingAverage(pts, 0); got[10].P != 50 {
 		t.Error("window 1 is identity")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	pts := flatPoints(1, 5, 0.2)
-	for i := range pts {
-		pts[i].P = units.Power(i + 1) // 1..5
-	}
-	approx(t, float64(Percentile(pts, 0)), 1, 0, "min")
-	approx(t, float64(Percentile(pts, 1)), 5, 0, "max")
-	approx(t, float64(Percentile(pts, 0.5)), 3, 1e-12, "median")
-	if !math.IsNaN(float64(Percentile(nil, 0.5))) {
-		t.Error("empty percentile should be NaN")
-	}
-	if !math.IsNaN(float64(Percentile(pts, 2))) {
-		t.Error("out-of-range q should be NaN")
 	}
 }
 
@@ -158,7 +94,7 @@ func TestDetectPhasesSyntheticStep(t *testing.T) {
 	for i, want := range levels {
 		approx(t, float64(phases[i].AvgPower), want, 0.02, "phase power")
 	}
-	if phases[0].Duration() <= 0 {
+	if phases[0].End <= phases[0].Start {
 		t.Error("phase duration must be positive")
 	}
 	// Errors.
@@ -224,13 +160,6 @@ func TestEndToEndSequencePhaseDetection(t *testing.T) {
 		want := float64(plat.Single.Pi1) + float64(run.TrueDyn)
 		approx(t, float64(phases[i].AvgPower), want, 0.06, "phase "+run.Kernel.Name)
 	}
-	// Total energy from the trace matches avg-power x duration within
-	// sampling error.
-	e, err := Energy(pts, seq.Total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, float64(e), float64(tr.Energy()), 0.02, "trapezoid vs avg-power energy")
 }
 
 func TestRunSequenceErrors(t *testing.T) {

@@ -148,14 +148,6 @@ func (q Bytes) Rate(t Time) ByteRate {
 	return ByteRate(float64(q) / float64(t))
 }
 
-// Rate converts an access count over a duration into an access rate.
-func (a Accesses) Rate(t Time) AccessRate {
-	if t <= 0 {
-		return AccessRate(math.Inf(1))
-	}
-	return AccessRate(float64(a) / float64(t))
-}
-
 // PerJoule converts a flop count and an energy into an energy efficiency.
 func (w Flops) PerJoule(e Energy) FlopsPerJoule {
 	if e <= 0 {
@@ -349,24 +341,18 @@ func FormatIntensity(i Intensity) string {
 	return trimFloat(roundSig(v, 3), 3)
 }
 
-// GFlops, TFlops, MFlops build flop counts from conventional magnitudes.
+// GFlops and TFlops build flop counts from conventional magnitudes.
 func GFlops(v float64) Flops { return Flops(v * 1e9) }
 
 // TFlops returns v trillion flops.
 func TFlops(v float64) Flops { return Flops(v * 1e12) }
 
-// MFlops returns v million flops.
-func MFlops(v float64) Flops { return Flops(v * 1e6) }
-
-// KiB, MiB, GiB build byte counts from binary magnitudes (working-set
+// KiB and MiB build byte counts from binary magnitudes (working-set
 // sizes are naturally binary).
 func KiB(v float64) Bytes { return Bytes(v * 1024) }
 
 // MiB returns v binary megabytes.
 func MiB(v float64) Bytes { return Bytes(v * 1024 * 1024) }
-
-// GiB returns v binary gigabytes.
-func GiB(v float64) Bytes { return Bytes(v * 1024 * 1024 * 1024) }
 
 // GB builds a decimal gigabyte count (bandwidth contexts use decimal).
 func GB(v float64) Bytes { return Bytes(v * 1e9) }

@@ -124,9 +124,6 @@ func TestDivisionByZeroYieldsInf(t *testing.T) {
 	if !math.IsInf(float64(Bytes(1).Rate(0)), 1) {
 		t.Error("Bytes.Rate(0) should be +Inf")
 	}
-	if !math.IsInf(float64(Accesses(1).Rate(0)), 1) {
-		t.Error("Accesses.Rate(0) should be +Inf")
-	}
 	if !math.IsInf(float64(Flops(1).PerJoule(0)), 1) {
 		t.Error("Flops.PerJoule(0) should be +Inf")
 	}
@@ -172,17 +169,11 @@ func TestMagnitudeConstructors(t *testing.T) {
 	if TFlops(3) != 3e12 {
 		t.Error("TFlops")
 	}
-	if MFlops(5) != 5e6 {
-		t.Error("MFlops")
-	}
 	if KiB(1) != 1024 {
 		t.Error("KiB")
 	}
 	if MiB(1) != 1<<20 {
 		t.Error("MiB")
-	}
-	if GiB(1) != 1<<30 {
-		t.Error("GiB")
 	}
 	if GB(1) != 1e9 {
 		t.Error("GB")
