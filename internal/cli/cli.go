@@ -118,6 +118,9 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return ExitUsage
 	}
+	if least := minSweepPoints(fs.Arg(0)); *points < least {
+		return fail(fmt.Errorf("%w: -points %d: %s needs at least %d sweep points", ErrUsage, *points, fs.Arg(0), least))
+	}
 	opts := experiments.Options{
 		Seed:        *seed,
 		SweepPoints: *points,
@@ -151,6 +154,19 @@ func Main(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	return ExitOK
+}
+
+// minSweepPoints returns the fewest -points cmd runs with: the suite's
+// minimum for a command that builds one, the fit's for one that fits
+// it too, and 0 for a command that reads no -points.
+func minSweepPoints(cmd string) int {
+	switch cmd {
+	case "table1", "experiments-md", "fit", "measure", "all":
+		return fit.MinSweepPoints
+	case "fig1", "fig4", "fig5", "export":
+		return microbench.MinSweepPoints
+	}
+	return 0
 }
 
 // serveContext builds the daemon's run context. It is a variable so cli
@@ -349,12 +365,7 @@ func fitOne(opts experiments.Options, id machine.ID, w io.Writer) error {
 }
 
 func fitPlatform(opts experiments.Options, plat *machine.Platform, w io.Writer) error {
-	cfg := microbench.DefaultConfig()
-	if opts.SweepPoints > 0 {
-		cfg.SweepPoints = opts.SweepPoints
-	}
-	cfg.Workers = opts.Workers
-	suite, err := microbench.Run(plat, cfg, sim.Options{Seed: opts.Seed, Noiseless: opts.Noiseless})
+	suite, err := microbench.Run(plat, opts.SuiteConfig(), sim.Options{Seed: opts.Seed, Noiseless: opts.Noiseless})
 	if err != nil {
 		return err
 	}
@@ -449,11 +460,6 @@ func measurePlatform(opts experiments.Options, plat *machine.Platform, profile s
 		ctx, span := obs.Start(ctx, "archline.measure",
 			obs.String("platform", string(plat.ID)), obs.String("profile", prof.Name))
 		defer span.End()
-		cfg := microbench.DefaultConfig()
-		if opts.SweepPoints > 0 {
-			cfg.SweepPoints = opts.SweepPoints
-		}
-		cfg.Workers = opts.Workers
 		simOpts := sim.Options{Seed: opts.Seed, Noiseless: opts.Noiseless}
 		if prof.Enabled() {
 			simOpts.Faults = faults.New(prof, faultSeed)
@@ -462,7 +468,7 @@ func measurePlatform(opts experiments.Options, plat *machine.Platform, profile s
 		if opts.Replicates > 1 {
 			rc.Repeats = opts.Replicates
 		}
-		res, rs, err := microbench.RunRobustContext(ctx, plat, cfg, simOpts, rc)
+		res, rs, err := microbench.RunRobustContext(ctx, plat, opts.SuiteConfig(), simOpts, rc)
 		if err != nil {
 			return err
 		}
@@ -630,11 +636,7 @@ func exportAll(opts experiments.Options, w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	cfg := microbench.DefaultConfig()
-	if opts.SweepPoints > 0 {
-		cfg.SweepPoints = opts.SweepPoints
-	}
-	cfg.Workers = opts.Workers
+	cfg := opts.SuiteConfig()
 	for _, plat := range machine.All() {
 		res, err := microbench.Run(plat, cfg, sim.Options{Seed: opts.Seed, Noiseless: opts.Noiseless})
 		if err != nil {

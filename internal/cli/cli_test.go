@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -12,7 +13,9 @@ import (
 	"time"
 
 	"archline/internal/experiments"
+	"archline/internal/fit"
 	"archline/internal/machine"
+	"archline/internal/microbench"
 )
 
 // fastOpts keep command tests quick.
@@ -176,6 +179,50 @@ func TestMainExitCodes(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Xeon Phi") {
 		t.Error("platform flag ignored")
+	}
+}
+
+// TestPointsBelowMinimum: a -points value a command cannot run with is
+// a usage error, refused before any suite runs and naming the minimum:
+// 2 for a command that builds a suite, fit.MinSweepPoints for one that
+// fits it. Values that work still do.
+func TestPointsBelowMinimum(t *testing.T) {
+	refused := []struct {
+		cmd    string
+		points string
+		least  int
+	}{
+		{"fit", "3", fit.MinSweepPoints},
+		{"measure", "5", fit.MinSweepPoints},
+		{"table1", "3", fit.MinSweepPoints},
+		{"experiments-md", "3", fit.MinSweepPoints},
+		{"all", "1", fit.MinSweepPoints},
+		{"export", "1", microbench.MinSweepPoints},
+		{"fig1", "1", microbench.MinSweepPoints},
+		{"fig4", "1", microbench.MinSweepPoints},
+		{"fig5", "0", microbench.MinSweepPoints},
+		{"export", "0", microbench.MinSweepPoints},
+		{"fit", "-4", fit.MinSweepPoints},
+	}
+	for _, c := range refused {
+		var out, errb bytes.Buffer
+		if code := Main([]string{"-points", c.points, c.cmd}, &out, &errb); code != ExitUsage {
+			t.Errorf("-points %s %s: exit %d, want %d (usage)", c.points, c.cmd, code, ExitUsage)
+		}
+		if msg := errb.String(); !strings.Contains(msg, "-points "+c.points) || !strings.Contains(msg, fmt.Sprintf("at least %d", c.least)) {
+			t.Errorf("-points %s %s: stderr %q names neither the value nor the minimum %d", c.points, c.cmd, msg, c.least)
+		}
+	}
+	for _, args := range [][]string{
+		{"-points", "3", "export"},
+		{"-points", "3", "fig1"},
+		{"-points", "1", "sweep"},
+		{"-points", "6", "-platform", "arndale-cpu", "fit"},
+	} {
+		var out, errb bytes.Buffer
+		if code := Main(args, &out, &errb); code != ExitOK {
+			t.Errorf("%v: exit %d: %s", args, code, errb.String())
+		}
 	}
 }
 

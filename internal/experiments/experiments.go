@@ -34,10 +34,10 @@ type Options struct {
 	Workers int
 }
 
-// suiteConfig builds the microbenchmark configuration for an experiment,
+// SuiteConfig builds the microbenchmark configuration for an experiment,
 // threading the worker budget down so the suite's kernel-level pool
 // follows the same setting as the platform fan-out.
-func (o Options) suiteConfig() microbench.Config {
+func (o Options) SuiteConfig() microbench.Config {
 	cfg := microbench.DefaultConfig()
 	if o.SweepPoints > 0 {
 		cfg.SweepPoints = o.SweepPoints
@@ -53,7 +53,7 @@ func (o Options) simOptions() sim.Options {
 
 // runSuite runs the full microbenchmark suite on a platform.
 func (o Options) runSuite(p *machine.Platform) (*microbench.Result, error) {
-	return microbench.Run(p, o.suiteConfig(), o.simOptions())
+	return microbench.Run(p, o.SuiteConfig(), o.simOptions())
 }
 
 // fig5Grid is the intensity range of figs. 5-7: 1/8 to 512 flop:Byte.

@@ -44,6 +44,10 @@ type Config struct {
 	Workers int
 }
 
+// MinSweepPoints is the fewest intensity-sweep kernels a suite can be
+// built with: the sweep's two ends.
+const MinSweepPoints = 2
+
 // DefaultConfig is the full suite as the paper ran it.
 func DefaultConfig() Config {
 	return Config{SweepPoints: 25}
@@ -69,8 +73,8 @@ var cacheFPWs = []float64{0, 1, 4, 16}
 // platform supports it, four kernels in each described cache level, and
 // the pointer chase where the platform has random-access data.
 func BuildSuite(plat *machine.Platform, cfg Config) ([]sim.Kernel, error) {
-	if cfg.SweepPoints < 2 {
-		return nil, fmt.Errorf("microbench: need at least 2 sweep points, got %d", cfg.SweepPoints)
+	if cfg.SweepPoints < MinSweepPoints {
+		return nil, fmt.Errorf("microbench: need at least %d sweep points, got %d", MinSweepPoints, cfg.SweepPoints)
 	}
 	var kernels []sim.Kernel
 

@@ -472,6 +472,73 @@ func TestSweepStreamGzipHeaderFirst(t *testing.T) {
 	}
 }
 
+// writeRecorder is a flushRecorder that also records where each body
+// write ends.
+type writeRecorder struct {
+	flushRecorder
+	writes []int
+}
+
+func (w *writeRecorder) Write(p []byte) (int, error) {
+	n, err := w.ResponseRecorder.Write(p)
+	w.writes = append(w.writes, w.Body.Len())
+	return n, err
+}
+
+// TestSweepStreamSegmentsFromHeader: a gzip stream expected to span two
+// segments goes through segments from the header line's flush on. Past
+// that flush, each body write but the gzip trailer is one whole
+// deflated segment, of segmentBytes raw bytes but the last, so no line
+// goes out alone.
+func TestSweepStreamSegmentsFromHeader(t *testing.T) {
+	h := New(Config{}).Handler()
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep/stream",
+		strings.NewReader(`{"platform_id":"gtx-titan","imin":0.001,"imax":1000,"points":32768,"chunk_points":256}`))
+	req.Header.Set("Accept-Encoding", "gzip")
+	rec := &writeRecorder{flushRecorder: flushRecorder{ResponseRecorder: httptest.NewRecorder()}}
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK || len(rec.flushed) == 0 {
+		t.Fatalf("status %d after %d flushes: %s", rec.Code, len(rec.flushed), rec.Body)
+	}
+	wire := rec.Body.Bytes()
+	whole := gunzip(t, wire)
+	// decoded returns how many raw bytes the first n wire bytes decode
+	// to, which must begin the body.
+	decoded := func(n int) int {
+		zr, err := gzip.NewReader(bytes.NewReader(wire[:n]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(zr)
+		if err != io.ErrUnexpectedEOF || !bytes.HasPrefix(whole, raw) {
+			t.Fatalf("the first %d wire bytes decode to %d raw bytes (%v), not a prefix of the body", n, len(raw), err)
+		}
+		return len(raw)
+	}
+	header, _, _ := bytes.Cut(whole, []byte("\n"))
+	done := decoded(rec.flushed[0])
+	if done != len(header)+1 {
+		t.Fatalf("the first flush decodes to %d raw bytes, want the %d-byte header line", done, len(header)+1)
+	}
+	var segs []int
+	for _, end := range rec.writes {
+		if end <= rec.flushed[0] || end == len(wire) {
+			continue // the serial part, or the gzip trailer
+		}
+		n := decoded(end)
+		segs = append(segs, n-done)
+		done = n
+	}
+	if done != len(whole) || len(segs) < 2 {
+		t.Fatalf("%d segments hold %d of the %d raw bytes past the header", len(segs), done-len(header)-1, len(whole)-len(header)-1)
+	}
+	for i, n := range segs {
+		if i < len(segs)-1 && n != segmentBytes || n < 1 || n > segmentBytes {
+			t.Errorf("segment %d of %d holds %d raw bytes, want %d (the last: 1 to %d)", i+1, len(segs), n, segmentBytes, segmentBytes)
+		}
+	}
+}
+
 // TestSweepStreamDeadlineGzip: a gzip stream that outlives its request
 // deadline still ends in a decodable member whose last line is the
 // error trailer, after every chunk its in-flight segments held.
@@ -535,8 +602,8 @@ func TestSweepStreamDisconnectJoinsDeflaters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A quarter megabyte of deflated stream reaches past the serial part
-	// (about 100 KB deflated), into the segments.
+	// A quarter megabyte of deflated stream reaches past the header line,
+	// the serial part, into the segments.
 	if _, err := io.CopyN(io.Discard, resp.Body, 256<<10); err != nil {
 		t.Fatal(err)
 	}

@@ -150,6 +150,8 @@ type recordEncoder struct {
 	tokens []uint32 // the block being gathered
 	w      bitWriter
 
+	// The block's literal/length and distance code counts, kept as its
+	// tokens are gathered; all zero between blocks.
 	litFreq  [litLenCodes]uint32
 	distFreq [distCodes]uint32
 	clFreq   [codeLenCodes]uint32
@@ -265,8 +267,10 @@ func atomEnd(buf []byte, pos int) (int, bool) {
 		}
 		return i, true
 	}
-	for i < len(buf) && !startsNumber(buf, i) {
-		i++
+	for ; i < len(buf); i++ {
+		if c := numberClass[buf[i]]; c == classDigit || c == classMinus && startsNumber(buf, i) {
+			break
+		}
 	}
 	return i, false
 }
@@ -310,7 +314,7 @@ func commonPrefix(a, b []byte) int {
 	return n
 }
 
-// literals adds lit's bytes as literal tokens.
+// literals adds lit's bytes as literal tokens, and counts them.
 func (e *recordEncoder) literals(lit []byte) {
 	for len(lit) > 0 {
 		if len(e.tokens) == blockTokens {
@@ -320,6 +324,7 @@ func (e *recordEncoder) literals(lit []byte) {
 		tokens := e.tokens[len(e.tokens) : len(e.tokens)+n]
 		for i, c := range lit[:n] {
 			tokens[i] = uint32(c)
+			e.litFreq[c]++
 		}
 		e.tokens = e.tokens[:len(e.tokens)+n]
 		lit = lit[n:]
@@ -328,12 +333,13 @@ func (e *recordEncoder) literals(lit []byte) {
 
 // match adds the n bytes at buf[pos], which repeat dist bytes back, as
 // match tokens of at most maxMatch bytes, none under minMatch; under
-// minMatch in all, they are literals.
+// minMatch in all, they are literals. It counts the tokens' codes.
 func (e *recordEncoder) match(buf []byte, pos, dist, n int) {
 	if n < minMatch {
 		e.literals(buf[pos : pos+n])
 		return
 	}
+	dc := distCodeOf(uint32(dist - 1))
 	for n > 0 {
 		l := min(n, maxMatch)
 		if r := n - l; r > 0 && r < minMatch {
@@ -343,23 +349,16 @@ func (e *recordEncoder) match(buf []byte, pos, dist, n int) {
 			e.writeBlock(false)
 		}
 		e.tokens = append(e.tokens, matchToken|uint32(l-minMatch)<<15|uint32(dist-1))
+		e.litFreq[257+int(lengthCode[l-minMatch])]++
+		e.distFreq[dc]++
 		n -= l
 	}
 }
 
-// writeBlock writes the gathered tokens as one dynamic Huffman block,
-// the stream's last when final.
+// writeBlock writes the gathered tokens, whose codes literals and match
+// counted, as one dynamic Huffman block, the stream's last when final.
+// It clears the counts for the next block.
 func (e *recordEncoder) writeBlock(final bool) {
-	clear(e.litFreq[:])
-	clear(e.distFreq[:])
-	for _, t := range e.tokens {
-		if t < matchToken {
-			e.litFreq[t]++
-			continue
-		}
-		e.litFreq[257+int(lengthCode[t>>15&0xff])]++
-		e.distFreq[distCodeOf(t&0x7fff)]++
-	}
 	e.litFreq[endOfBlock] = 1
 	nlit := e.huff.lengths(e.litFreq[:], e.litLen[:], maxCodeBits)
 	nlit = max(nlit, 257)
@@ -445,6 +444,8 @@ func (e *recordEncoder) writeBlock(final bool) {
 	}
 	w.putCode(e.litHuff[endOfBlock])
 	e.tokens = e.tokens[:0]
+	clear(e.litFreq[:])
+	clear(e.distFreq[:])
 }
 
 // canonicalCodes assigns the RFC 1951 canonical code of each length,

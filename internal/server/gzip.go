@@ -28,26 +28,29 @@ const gzipMinBytes = 1024
 // has the table; TestGzipLevelRatio pins the 2% bound.
 const gzipLevel = 4
 
-// Parallel deflate, after pigz (https://zlib.net/pigz/). A gzip body is
-// deflated serially until segmentBytes of raw bytes have gone out; from
-// the next flush on it is cut, at the caller's flushes, into segments
-// of at least segmentBytes. Each segment is deflated on a goroutine of
-// its own by the record encoder (deflate.go), whose matches may reach
-// into the dictBytes before the segment, and ends in a sync flush, so
-// the segments concatenate into one deflate stream inside one RFC 1952
-// member. Only large sweep streams fill a segment; DESIGN.md §10 has
-// the measurements.
+// Parallel deflate, after pigz (https://zlib.net/pigz/). A gzip body
+// is deflated serially at first, by compress/flate on the writer's
+// goroutine; past that serial part it is cut into segments of
+// segmentBytes raw bytes each, the last one at most that. Each segment
+// is deflated on a goroutine of its own by the record encoder
+// (deflate.go), whose matches may reach into the dictBytes before the
+// segment, and ends in a sync flush, so the segments concatenate into
+// one deflate stream inside one RFC 1952 member. The serial part ends
+// at the first flush once it holds segmentBytes, or at the first flush
+// of all when the body is expected to span two segments: a large sweep
+// stream's header line goes out alone, and every byte after it goes
+// through segments. Cached bodies are never flushed, so they stay
+// serial. DESIGN.md §10 has the measurements.
 const (
-	// segmentBytes is the raw size of the serial part and the least raw
-	// size of a segment.
+	// segmentBytes is the raw size of a segment, and of the serial part
+	// of a body not expected to span two segments.
 	segmentBytes = 512 << 10
 	// dictBytes is deflate's window: the most history a segment can
 	// refer back into.
 	dictBytes = 32 << 10
 	// segmentBufBytes is a segment buffer's full size: the dictionary,
-	// one segment, and the longest line a flush can add past it, a
-	// maxChunkPoints chunk (about 856 KB, at about 209 bytes a point).
-	segmentBufBytes = dictBytes + segmentBytes + maxChunkPoints*256
+	// then one segment.
+	segmentBufBytes = dictBytes + segmentBytes
 )
 
 // gzipHeader is the member header compress/gzip writes for a Writer
@@ -88,10 +91,11 @@ func putSegment(b *[]byte) {
 // than there are cores, so CPU at saturation does not rise.
 var deflateSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-// segmentWriter writes one gzip member. Below one segment its bytes
-// are compress/gzip's at gzipLevel for the same writes and flushes;
-// past it the body is deflated in segments on every core. It is for
-// one goroutine, which must Close it once: Close joins every deflater.
+// segmentWriter writes one gzip member. Until its serial part ends its
+// bytes are compress/gzip's at gzipLevel for the same writes and
+// flushes; past it the body is deflated in segments on every core. It
+// is for one goroutine, which must Close it once: Close joins every
+// deflater.
 type segmentWriter struct {
 	dst     io.Writer
 	segSize int // segmentBytes, smaller only in tests
@@ -99,9 +103,12 @@ type segmentWriter struct {
 	size    int // raw bytes written; ISIZE is it mod 2^32
 
 	serial *flate.Writer // the serial part's deflater; nil past it
+	// serialBytes is the least raw size of the serial part: it ends at
+	// the first flush at or past it.
+	serialBytes int
 	// tail ends with the serial part's last dictBytes of raw bytes once
-	// the body is within dictBytes of segSize; it is trimmed only when
-	// it reaches twice that, so keeping it costs O(1) a byte.
+	// the body is within dictBytes of serialBytes; it is trimmed only
+	// when it reaches twice that, so keeping it costs O(1) a byte.
 	tail []byte
 	// seg is the segment being filled, past the serial part, after its
 	// dict bytes of dictionary.
@@ -109,40 +116,63 @@ type segmentWriter struct {
 	dict int
 	// inflight holds the segments handed to deflaters and not yet
 	// written, in body order: at most two per deflater slot, so the
-	// handler runs ahead of the deflaters by a bounded amount.
+	// writer runs ahead of the deflaters by a bounded amount.
 	inflight []chan []byte
 	err      error
 }
 
 // newSegmentWriter writes a gzip member header to dst and returns the
-// writer of the member's body, whose serial part and segments are
-// segSize raw bytes or more.
+// writer of a body of unknown size: its serial part and its segments
+// are segSize raw bytes.
 func newSegmentWriter(dst io.Writer, segSize int) *segmentWriter {
+	return newSizedSegmentWriter(dst, segSize, 0)
+}
+
+// newSizedSegmentWriter is newSegmentWriter for a body of about
+// expected raw bytes. At two segments or more, the serial part ends at
+// the first flush.
+func newSizedSegmentWriter(dst io.Writer, segSize, expected int) *segmentWriter {
 	fw := flateWriters.Get().(*flate.Writer)
 	fw.Reset(dst)
-	z := &segmentWriter{dst: dst, segSize: segSize, serial: fw}
+	z := &segmentWriter{dst: dst, segSize: segSize, serial: fw, serialBytes: segSize}
+	if expected >= 2*segSize {
+		z.serialBytes = 0
+	}
 	_, z.err = dst.Write(gzipHeader)
 	return z
 }
 
-// Write deflates p in the serial part, or appends it to the segment
-// being filled.
+// Write deflates p in the serial part, or adds it to the segments,
+// handing each one that fills to a deflater.
 func (z *segmentWriter) Write(p []byte) (int, error) {
 	if z.err != nil {
 		return 0, z.err
 	}
 	z.crc = crc32.Update(z.crc, crc32.IEEETable, p)
 	z.size += len(p)
-	if z.serial == nil {
-		*z.seg = append(*z.seg, p...)
-		return len(p), nil
+	if z.serial != nil {
+		if z.size > z.serialBytes-dictBytes {
+			z.keepTail(p)
+		}
+		n, err := z.serial.Write(p)
+		z.err = err
+		return n, err
 	}
-	if z.size > z.segSize-dictBytes {
-		z.keepTail(p)
+	n := len(p)
+	for {
+		// A full segment is cut once a byte arrives past it, so that
+		// Close finds the last one full rather than empty.
+		room := z.dict + z.segSize - len(*z.seg)
+		if len(p) <= room {
+			*z.seg = append(*z.seg, p...)
+			return n, nil
+		}
+		*z.seg = append(*z.seg, p[:room]...)
+		p = p[room:]
+		if z.cut(false); z.err != nil {
+			return n - len(p), z.err
+		}
 	}
-	n, err := z.serial.Write(p)
-	z.err = err
-	return n, err
 }
 
 // keepTail appends p to the tail.
@@ -158,21 +188,17 @@ func (z *segmentWriter) keepTail(p []byte) {
 }
 
 // Flush in the serial part is a deflate sync flush, as compress/gzip's,
-// and ends the serial part once it holds segSize raw bytes. Past it, a
-// flush cuts the segment once it holds segSize raw bytes, and writes
-// out the segments already deflated.
+// and ends the serial part once it holds serialBytes raw bytes. Past
+// it, a flush writes out the segments already deflated.
 func (z *segmentWriter) Flush() error {
 	if z.err != nil {
 		return z.err
 	}
 	if z.serial == nil {
-		if len(*z.seg)-z.dict >= z.segSize {
-			z.cut(false)
-		}
 		z.drain(false)
 		return z.err
 	}
-	if z.err = z.serial.Flush(); z.err == nil && z.size >= z.segSize {
+	if z.err = z.serial.Flush(); z.err == nil && z.size >= z.serialBytes {
 		flateWriters.Put(z.serial)
 		z.serial = nil
 		z.newSegment(z.tail)
@@ -362,8 +388,9 @@ type ndjsonWriter struct {
 }
 
 // startNDJSON negotiates a stream's coding, sends the 200 header and
-// returns the writer for its lines. The caller must Close it.
-func startNDJSON(w http.ResponseWriter, r *http.Request) *ndjsonWriter {
+// returns the writer for its lines, which come to about expected raw
+// bytes (0 when unknown). The caller must Close it.
+func startNDJSON(w http.ResponseWriter, r *http.Request, expected int) *ndjsonWriter {
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
 	h.Add("Vary", "Accept-Encoding")
@@ -374,7 +401,7 @@ func startNDJSON(w http.ResponseWriter, r *http.Request) *ndjsonWriter {
 	w.WriteHeader(http.StatusOK)
 	out := &ndjsonWriter{Writer: w}
 	if gz {
-		out.gz = newSegmentWriter(w, segmentBytes)
+		out.gz = newSizedSegmentWriter(w, segmentBytes, expected)
 		out.Writer = out.gz
 	}
 	out.flusher, _ = w.(http.Flusher)
@@ -383,7 +410,7 @@ func startNDJSON(w http.ResponseWriter, r *http.Request) *ndjsonWriter {
 
 // Flush pushes the lines written so far to the client: through the gzip
 // frame first, then the HTTP chunked writer. Past the serial part, the
-// gzip frame holds a segment's lines until the segment is cut and
+// gzip frame holds a segment's lines until the segment fills and is
 // deflated. A failed flush means the client went away; the stream's
 // trailer protocol is its error channel.
 func (o *ndjsonWriter) Flush() {

@@ -345,7 +345,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) (any, *
 	defer unsubscribe()
 	snap, _ := s.jobs.Get(id)
 
-	out := startNDJSON(w, r)
+	out := startNDJSON(w, r, 0)
 	defer out.Close()
 	enc := json.NewEncoder(out)
 	// Encode failures past this point mean the client went away; the

@@ -13,10 +13,10 @@ import (
 // encoder writing into a pooled buffer makes a flushed chunk cost zero
 // allocations. The byte output is identical to what json.Encoder
 // produces for the equivalent streamChunk value — same float
-// formatting, same field order, same omission rules, same
-// drop-the-whole-line behaviour on non-finite values — which the
-// encoder tests and the stream golden test pin, so clients cannot tell
-// the encoders apart.
+// formatting (appendJSONFloat, floatfmt.go), same field order, same
+// omission rules, same drop-the-whole-line behaviour on non-finite
+// values — which the encoder tests and the stream golden test pin, so
+// clients cannot tell the encoders apart.
 
 // pointBufs recycles per-chunk evaluation buffers. Capacity is
 // maxChunkPoints, the largest chunk a request may ask for, so
@@ -29,39 +29,13 @@ var pointBufs = sync.Pool{
 }
 
 // lineBufs recycles NDJSON chunk line buffers. A line may outgrow the
-// initial capacity (maxChunkPoints-sized chunks run ~400 KiB); callers
+// initial capacity (a maxChunkPoints chunk runs about 835 KB); callers
 // put the grown slice back so the pool converges on the working size.
 var lineBufs = sync.Pool{
 	New: func() any {
 		b := make([]byte, 0, 1<<14)
 		return &b
 	},
-}
-
-// appendJSONFloat appends f rendered exactly as encoding/json renders a
-// float64: shortest round-trip form, 'f' format switching to 'e' for
-// very small or very large magnitudes, with the exponent's leading zero
-// stripped. It reports false for non-finite values — encoding/json
-// refuses to marshal those — and the caller must then drop the whole
-// line (dst may hold a partial append).
-func appendJSONFloat(dst []byte, f float64) ([]byte, bool) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return dst, false
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// encoding/json canonicalizes exponents: e-07 becomes e-7.
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, true
 }
 
 // appendStreamPoint appends one point object in the rooflinePoint wire

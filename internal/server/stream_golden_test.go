@@ -213,3 +213,24 @@ func FuzzStreamChunk(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkAppendStreamChunk renders, per op, one 4096-point chunk line
+// of each built-in's single-precision stream over the default grid: ns
+// per point, with no allocation into a line buffer of the working size.
+func BenchmarkAppendStreamChunk(b *testing.B) {
+	var chunks [][]model.Point
+	for _, plat := range machine.All() {
+		k := model.NewKernel(plat.Single)
+		chunks = append(chunks, k.AppendLogSpace(nil, math.Log(defaultIMin), math.Log(defaultIMax),
+			0, maxChunkPoints, maxChunkPoints))
+	}
+	line := make([]byte, 0, 1<<20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for seq, pts := range chunks {
+			line, _ = appendStreamChunk(line[:0], seq, pts)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(chunks)*maxChunkPoints), "ns/point")
+}

@@ -2,10 +2,11 @@
 # bench.sh — run the engine benchmark suite and snapshot it as JSON.
 #
 # Runs the perf-trajectory benchmarks (the parallel suite driver, the
-# batch-vs-sequential HTTP comparison, the streaming sweep, the gzip
-# level table, the microbench hot-path benches, and the refit path's
-# robust suite, sanitization pass and platform fit), then converts the
-# text output to a stable JSON document via scripts/benchjson.
+# batch-vs-sequential HTTP comparison, the streaming sweep and its chunk
+# encoder, the gzip level table, the microbench hot-path benches, and
+# the refit path's robust suite, sanitization pass and platform fit),
+# then converts the text output to a stable JSON document via
+# scripts/benchjson.
 #
 # Usage:
 #   scripts/bench.sh [out.json]        # default out: BENCH_engine.json
@@ -20,7 +21,7 @@ cd "$(dirname "$0")/.."
 out=${1:-BENCH_engine.json}
 benchtime=${BENCHTIME:-2x}
 count=${BENCHCOUNT:-1}
-pattern='^(BenchmarkSuiteRun|BenchmarkRunWorkers|BenchmarkRunRobust|BenchmarkResultFilters|BenchmarkSanitize|BenchmarkFitPlatform|BenchmarkBatchVsSequential|BenchmarkSweepStream|BenchmarkGzipLevels|BenchmarkMapDispatch)$'
+pattern='^(BenchmarkSuiteRun|BenchmarkRunWorkers|BenchmarkRunRobust|BenchmarkResultFilters|BenchmarkSanitize|BenchmarkFitPlatform|BenchmarkBatchVsSequential|BenchmarkSweepStream|BenchmarkAppendStreamChunk|BenchmarkGzipLevels|BenchmarkMapDispatch)$'
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp" "$tmp.prev"' EXIT

@@ -18,8 +18,9 @@ echo "ci: check"
 ./scripts/check.sh
 
 echo "ci: fuzz"
-# Short runs: the NDJSON chunk encoder against encoding/json, the
-# segmented gzip writer against compress/gzip, the record encoder
+# Short runs: the NDJSON chunk encoder against encoding/json, its float
+# formatter against strconv, the segmented gzip writer against
+# compress/gzip under an arbitrary size hint, the record encoder
 # against compress/flate's reader, stats.Select against
 # sort-then-index, the platform description's decode/encode round trip,
 # arbitrary /v1 request bodies against the no-5xx contract, and
@@ -27,6 +28,7 @@ echo "ci: fuzz"
 # failing input is written under the package's testdata/fuzz/ and then
 # replays in every go test run.
 go test -run '^$' -fuzz '^FuzzStreamChunk$' -fuzztime 10s ./internal/server/
+go test -run '^$' -fuzz '^FuzzJSONFloat$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzSegmentWriter$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzRecordEncoder$' -fuzztime 10s ./internal/server/
 go test -run '^$' -fuzz '^FuzzV1Body$' -fuzztime 10s ./internal/server/
