@@ -370,16 +370,16 @@ func gunzip(t *testing.T, zipped []byte) []byte {
 
 // TestSweepStreamGzip: the NDJSON stream compresses end to end and
 // decodes to the identity body of the same request, byte for byte,
-// from a stream under one segment to the benchmark's largest shapes,
-// which are deflated in parallel segments. Gzip and plain streams alike
-// carry Vary.
+// from a stream under one segment, through compress/gzip, to a
+// mid-size one and the benchmark's largest shapes, which are deflated
+// in parallel segments. Gzip and plain streams alike carry Vary.
 func TestSweepStreamGzip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	type shape struct {
 		points, chunk int
 		precision     string
 	}
-	shapes := []shape{{2000, 500, "single"}}
+	shapes := []shape{{2000, 500, "single"}, {4000, 256, "single"}}
 	for _, points := range []int{8192, 32768, 65536} {
 		for _, chunk := range []int{256, 4096} {
 			for _, precision := range []string{"single", "double"} {
@@ -485,57 +485,62 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestSweepStreamSegmentsFromHeader: a gzip stream expected to span two
-// segments goes through segments from the header line's flush on. Past
-// that flush, each body write but the gzip trailer is one whole
-// deflated segment, of segmentBytes raw bytes but the last, so no line
-// goes out alone.
+// TestSweepStreamSegmentsFromHeader: a gzip stream expected to exceed
+// one segment goes through segments from the header line's flush on, a
+// mid-size 4,000-point stream as well as a 32,768-point one. Past that
+// flush, each body write but the gzip trailer is one whole deflated
+// segment, of segmentBytes raw bytes but the last, so no line goes out
+// alone.
 func TestSweepStreamSegmentsFromHeader(t *testing.T) {
 	h := New(Config{}).Handler()
-	req := httptest.NewRequest(http.MethodPost, "/v1/sweep/stream",
-		strings.NewReader(`{"platform_id":"gtx-titan","imin":0.001,"imax":1000,"points":32768,"chunk_points":256}`))
-	req.Header.Set("Accept-Encoding", "gzip")
-	rec := &writeRecorder{flushRecorder: flushRecorder{ResponseRecorder: httptest.NewRecorder()}}
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK || len(rec.flushed) == 0 {
-		t.Fatalf("status %d after %d flushes: %s", rec.Code, len(rec.flushed), rec.Body)
-	}
-	wire := rec.Body.Bytes()
-	whole := gunzip(t, wire)
-	// decoded returns how many raw bytes the first n wire bytes decode
-	// to, which must begin the body.
-	decoded := func(n int) int {
-		zr, err := gzip.NewReader(bytes.NewReader(wire[:n]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := io.ReadAll(zr)
-		if err != io.ErrUnexpectedEOF || !bytes.HasPrefix(whole, raw) {
-			t.Fatalf("the first %d wire bytes decode to %d raw bytes (%v), not a prefix of the body", n, len(raw), err)
-		}
-		return len(raw)
-	}
-	header, _, _ := bytes.Cut(whole, []byte("\n"))
-	done := decoded(rec.flushed[0])
-	if done != len(header)+1 {
-		t.Fatalf("the first flush decodes to %d raw bytes, want the %d-byte header line", done, len(header)+1)
-	}
-	var segs []int
-	for _, end := range rec.writes {
-		if end <= rec.flushed[0] || end == len(wire) {
-			continue // the serial part, or the gzip trailer
-		}
-		n := decoded(end)
-		segs = append(segs, n-done)
-		done = n
-	}
-	if done != len(whole) || len(segs) < 2 {
-		t.Fatalf("%d segments hold %d of the %d raw bytes past the header", len(segs), done-len(header)-1, len(whole)-len(header)-1)
-	}
-	for i, n := range segs {
-		if i < len(segs)-1 && n != segmentBytes || n < 1 || n > segmentBytes {
-			t.Errorf("segment %d of %d holds %d raw bytes, want %d (the last: 1 to %d)", i+1, len(segs), n, segmentBytes, segmentBytes)
-		}
+	for _, points := range []int{32768, 4000} {
+		t.Run(strconv.Itoa(points), func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, "/v1/sweep/stream", strings.NewReader(fmt.Sprintf(
+				`{"platform_id":"gtx-titan","imin":0.001,"imax":1000,"points":%d,"chunk_points":256}`, points)))
+			req.Header.Set("Accept-Encoding", "gzip")
+			rec := &writeRecorder{flushRecorder: flushRecorder{ResponseRecorder: httptest.NewRecorder()}}
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK || len(rec.flushed) == 0 {
+				t.Fatalf("status %d after %d flushes: %s", rec.Code, len(rec.flushed), rec.Body)
+			}
+			wire := rec.Body.Bytes()
+			whole := gunzip(t, wire)
+			// decoded returns how many raw bytes the first n wire bytes
+			// decode to, which must begin the body.
+			decoded := func(n int) int {
+				zr, err := gzip.NewReader(bytes.NewReader(wire[:n]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := io.ReadAll(zr)
+				if err != io.ErrUnexpectedEOF || !bytes.HasPrefix(whole, raw) {
+					t.Fatalf("the first %d wire bytes decode to %d raw bytes (%v), not a prefix of the body", n, len(raw), err)
+				}
+				return len(raw)
+			}
+			header, _, _ := bytes.Cut(whole, []byte("\n"))
+			done := decoded(rec.flushed[0])
+			if done != len(header)+1 {
+				t.Fatalf("the first flush decodes to %d raw bytes, want the %d-byte header line", done, len(header)+1)
+			}
+			var segs []int
+			for _, end := range rec.writes {
+				if end <= rec.flushed[0] || end == len(wire) {
+					continue // the member header, the header line, or the gzip trailer
+				}
+				n := decoded(end)
+				segs = append(segs, n-done)
+				done = n
+			}
+			if done != len(whole) || len(segs) < 2 {
+				t.Fatalf("%d segments hold %d of the %d raw bytes past the header", len(segs), done-len(header)-1, len(whole)-len(header)-1)
+			}
+			for i, n := range segs {
+				if i < len(segs)-1 && n != segmentBytes || n < 1 || n > segmentBytes {
+					t.Errorf("segment %d of %d holds %d raw bytes, want %d (the last: 1 to %d)", i+1, len(segs), n, segmentBytes, segmentBytes)
+				}
+			}
+		})
 	}
 }
 
@@ -602,8 +607,8 @@ func TestSweepStreamDisconnectJoinsDeflaters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A quarter megabyte of deflated stream reaches past the header line,
-	// the serial part, into the segments.
+	// A quarter megabyte of deflated stream reaches past the header
+	// line's segment into the full ones.
 	if _, err := io.CopyN(io.Discard, resp.Body, 256<<10); err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@ import (
 	"sync"
 )
 
-// The record encoder deflates the segments of a gzip body past its
-// serial part (gzip.go). NDJSON sweep chunks repeat by construction:
+// The record encoder deflates the segments of a large sweep stream's
+// gzip body (gzip.go). NDJSON sweep chunks repeat by construction:
 // every point repeats the same keys, each number shares its leading
 // digits with the same field one point earlier, and some fields repeat
 // another field's value. So instead of searching hash chains, as

@@ -2,7 +2,7 @@ package server
 
 import (
 	"bytes"
-	"compress/flate"
+	"compress/gzip"
 	"encoding/binary"
 	"hash/crc32"
 	"io"
@@ -19,31 +19,30 @@ import (
 // saving. Error envelopes and small query responses go out raw.
 const gzipMinBytes = 1024
 
-// gzipLevel is the one compression level archlined writes at, serial
-// and segmented alike, chosen by a rule: the fastest level whose ratio
-// is within 2% of gzip.DefaultCompression on BenchmarkGzipLevels'
-// stream body. On an Intel Xeon @ 2.10GHz (2 vCPU) level 4 costs 21.0
-// ns/byte at ratio 5.41, against 30.3 ns/byte at 5.47 for the default;
-// level 3 and BestSpeed give up 4% and 11% of the ratio. DESIGN.md §10
-// has the table; TestGzipLevelRatio pins the 2% bound.
+// gzipLevel is the compression level of every gzip body that is not
+// segmented: cached responses, job events and sweeps under one segment.
+// It was chosen by a rule: the fastest level whose ratio is within 2%
+// of gzip.DefaultCompression on BenchmarkGzipLevels' stream body. On an
+// Intel Xeon @ 2.10GHz (2 vCPU) level 4 costs 21.0 ns/byte at ratio
+// 5.41, against 30.3 ns/byte at 5.47 for the default; level 3 and
+// BestSpeed give up 4% and 11% of the ratio. DESIGN.md §10 has the
+// table; TestGzipLevelRatio pins the 2% bound.
 const gzipLevel = 4
 
 // Parallel deflate, after pigz (https://zlib.net/pigz/). A gzip body
-// is deflated serially at first, by compress/flate on the writer's
-// goroutine; past that serial part it is cut into segments of
-// segmentBytes raw bytes each, the last one at most that. Each segment
-// is deflated on a goroutine of its own by the record encoder
-// (deflate.go), whose matches may reach into the dictBytes before the
-// segment, and ends in a sync flush, so the segments concatenate into
-// one deflate stream inside one RFC 1952 member. The serial part ends
-// at the first flush once it holds segmentBytes, or at the first flush
-// of all when the body is expected to span two segments: a large sweep
-// stream's header line goes out alone, and every byte after it goes
-// through segments. Cached bodies are never flushed, so they stay
-// serial. DESIGN.md §10 has the measurements.
+// expected to exceed one segment, a sweep stream of 2,622 points or
+// more, is cut into segments; every other body goes through
+// compress/gzip. Each segment is deflated on a goroutine of its own by
+// the record encoder (deflate.go), whose matches may reach into the
+// dictBytes before the segment, and ends in a sync flush, so the
+// segments concatenate into one deflate stream inside one RFC 1952
+// member. The first flush cuts a segment where it stands, so a stream's
+// header line goes out alone; every later segment holds segmentBytes
+// raw bytes, the last one at most that. DESIGN.md §10 has the
+// measurements.
 const (
-	// segmentBytes is the raw size of a segment, and of the serial part
-	// of a body not expected to span two segments.
+	// segmentBytes is the raw size of a segment, and the largest
+	// expected body that is not segmented.
 	segmentBytes = 512 << 10
 	// dictBytes is deflate's window: the most history a segment can
 	// refer back into.
@@ -59,16 +58,24 @@ const (
 // OS unknown.
 var gzipHeader = []byte{0x1f, 0x8b, 8, 0, 0, 0, 0, 0, 0, 255}
 
-// flateWriters recycles the serial deflaters; a flate.Writer's
-// allocation dwarfs a small response body.
-var flateWriters = sync.Pool{
+// gzipWriters recycles the deflaters of the bodies that are not
+// segmented; a gzip.Writer's allocation dwarfs a small response body.
+var gzipWriters = sync.Pool{
 	New: func() any {
-		fw, err := flate.NewWriter(io.Discard, gzipLevel)
+		zw, err := gzip.NewWriterLevel(io.Discard, gzipLevel)
 		if err != nil {
-			panic(err) // gzipLevel is a constant in flate's range
+			panic(err) // gzipLevel is a constant in gzip's range
 		}
-		return fw
+		return zw
 	},
+}
+
+// lineWriter is a gzip body's deflater: a pooled compress/gzip writer,
+// or a segmentWriter.
+type lineWriter interface {
+	io.Writer
+	Flush() error
+	Close() error
 }
 
 // segmentBufs recycles segment buffers, taken at their full size so a
@@ -91,27 +98,17 @@ func putSegment(b *[]byte) {
 // than there are cores, so CPU at saturation does not rise.
 var deflateSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-// segmentWriter writes one gzip member. Until its serial part ends its
-// bytes are compress/gzip's at gzipLevel for the same writes and
-// flushes; past it the body is deflated in segments on every core. It
-// is for one goroutine, which must Close it once: Close joins every
-// deflater.
+// segmentWriter writes one gzip member whose body is deflated in
+// segments on every core. It is for one goroutine, which must Close it
+// once: Close joins every deflater.
 type segmentWriter struct {
 	dst     io.Writer
 	segSize int // segmentBytes, smaller only in tests
 	crc     uint32
-	size    int // raw bytes written; ISIZE is it mod 2^32
-
-	serial *flate.Writer // the serial part's deflater; nil past it
-	// serialBytes is the least raw size of the serial part: it ends at
-	// the first flush at or past it.
-	serialBytes int
-	// tail ends with the serial part's last dictBytes of raw bytes once
-	// the body is within dictBytes of serialBytes; it is trimmed only
-	// when it reaches twice that, so keeping it costs O(1) a byte.
-	tail []byte
-	// seg is the segment being filled, past the serial part, after its
-	// dict bytes of dictionary.
+	size    int  // raw bytes written; ISIZE is it mod 2^32
+	flushed bool // the first Flush has cut its segment
+	// seg is the segment being filled, after its dict bytes of
+	// dictionary.
 	seg  *[]byte
 	dict int
 	// inflight holds the segments handed to deflaters and not yet
@@ -122,42 +119,23 @@ type segmentWriter struct {
 }
 
 // newSegmentWriter writes a gzip member header to dst and returns the
-// writer of a body of unknown size: its serial part and its segments
-// are segSize raw bytes.
+// writer of a body cut into segments of segSize raw bytes, the first
+// of which starts with no dictionary.
 func newSegmentWriter(dst io.Writer, segSize int) *segmentWriter {
-	return newSizedSegmentWriter(dst, segSize, 0)
-}
-
-// newSizedSegmentWriter is newSegmentWriter for a body of about
-// expected raw bytes. At two segments or more, the serial part ends at
-// the first flush.
-func newSizedSegmentWriter(dst io.Writer, segSize, expected int) *segmentWriter {
-	fw := flateWriters.Get().(*flate.Writer)
-	fw.Reset(dst)
-	z := &segmentWriter{dst: dst, segSize: segSize, serial: fw, serialBytes: segSize}
-	if expected >= 2*segSize {
-		z.serialBytes = 0
-	}
+	z := &segmentWriter{dst: dst, segSize: segSize}
+	z.newSegment(nil)
 	_, z.err = dst.Write(gzipHeader)
 	return z
 }
 
-// Write deflates p in the serial part, or adds it to the segments,
-// handing each one that fills to a deflater.
+// Write adds p to the segments, handing each one that fills to a
+// deflater.
 func (z *segmentWriter) Write(p []byte) (int, error) {
 	if z.err != nil {
 		return 0, z.err
 	}
 	z.crc = crc32.Update(z.crc, crc32.IEEETable, p)
 	z.size += len(p)
-	if z.serial != nil {
-		if z.size > z.serialBytes-dictBytes {
-			z.keepTail(p)
-		}
-		n, err := z.serial.Write(p)
-		z.err = err
-		return n, err
-	}
 	n := len(p)
 	for {
 		// A full segment is cut once a byte arrives past it, so that
@@ -175,35 +153,20 @@ func (z *segmentWriter) Write(p []byte) (int, error) {
 	}
 }
 
-// keepTail appends p to the tail.
-func (z *segmentWriter) keepTail(p []byte) {
-	if len(p) >= dictBytes {
-		z.tail = append(z.tail[:0], p[len(p)-dictBytes:]...)
-		return
-	}
-	if len(z.tail)+len(p) > 2*dictBytes {
-		z.tail = z.tail[:copy(z.tail, z.tail[len(z.tail)-dictBytes:])]
-	}
-	z.tail = append(z.tail, p...)
-}
-
-// Flush in the serial part is a deflate sync flush, as compress/gzip's,
-// and ends the serial part once it holds serialBytes raw bytes. Past
-// it, a flush writes out the segments already deflated.
+// Flush writes out the segments already deflated. The first Flush
+// also cuts a segment where it stands and waits for it, so a stream's
+// header line reaches the client alone, before any point is computed.
 func (z *segmentWriter) Flush() error {
 	if z.err != nil {
 		return z.err
 	}
-	if z.serial == nil {
+	if z.flushed {
 		z.drain(false)
 		return z.err
 	}
-	if z.err = z.serial.Flush(); z.err == nil && z.size >= z.serialBytes {
-		flateWriters.Put(z.serial)
-		z.serial = nil
-		z.newSegment(z.tail)
-		z.tail = nil
-	}
+	z.flushed = true
+	z.cut(false)
+	z.drain(true)
 	return z.err
 }
 
@@ -211,22 +174,14 @@ func (z *segmentWriter) Flush() error {
 // and ISIZE of the raw bytes. It returns once every deflater has, even
 // after a failed write.
 func (z *segmentWriter) Close() error {
-	if z.serial != nil {
-		if z.err == nil {
-			z.err = z.serial.Close()
-		}
-		flateWriters.Put(z.serial)
-		z.serial = nil
-	} else {
-		if z.err == nil {
-			z.cut(true)
-		}
-		if z.seg != nil { // never handed to a deflater: a write failed
-			putSegment(z.seg)
-			z.seg = nil
-		}
-		z.drain(true)
+	if z.err == nil {
+		z.cut(true)
 	}
+	if z.seg != nil { // never handed to a deflater: a write failed
+		putSegment(z.seg)
+		z.seg = nil
+	}
+	z.drain(true)
 	if z.err == nil {
 		var trailer [8]byte
 		binary.LittleEndian.PutUint32(trailer[:4], z.crc)
@@ -347,11 +302,12 @@ func qValue(params string) float64 {
 func (c *cachedResponse) gzipped() []byte {
 	c.gzipOnce.Do(func() {
 		buf := bytes.NewBuffer(make([]byte, 0, len(c.body)/4))
-		zw := newSegmentWriter(buf, segmentBytes)
-		// Writes to a bytes.Buffer cannot fail, and with no flush the
-		// body is deflated serially.
+		zw := gzipWriters.Get().(*gzip.Writer)
+		zw.Reset(buf)
+		// Writes to a bytes.Buffer cannot fail.
 		_, _ = zw.Write(c.body)
 		_ = zw.Close()
+		gzipWriters.Put(zw)
 		c.gzipBody = buf.Bytes()
 	})
 	return c.gzipBody
@@ -382,14 +338,16 @@ func writeResponseNegotiated(w http.ResponseWriter, r *http.Request, resp *cache
 // to it go through the gzip frame when the client negotiated one, and
 // Flush pushes them on to the client.
 type ndjsonWriter struct {
-	io.Writer // the gzip writer, or the ResponseWriter itself
-	gz        *segmentWriter
+	io.Writer // the gzip frame, or the ResponseWriter itself
+	gz        lineWriter
 	flusher   http.Flusher
 }
 
 // startNDJSON negotiates a stream's coding, sends the 200 header and
 // returns the writer for its lines, which come to about expected raw
-// bytes (0 when unknown). The caller must Close it.
+// bytes (0 when unknown). A gzip stream expected to exceed one segment
+// is deflated in segments; any other goes through a pooled
+// compress/gzip writer. The caller must Close it.
 func startNDJSON(w http.ResponseWriter, r *http.Request, expected int) *ndjsonWriter {
 	h := w.Header()
 	h.Set("Content-Type", "application/x-ndjson")
@@ -401,7 +359,13 @@ func startNDJSON(w http.ResponseWriter, r *http.Request, expected int) *ndjsonWr
 	w.WriteHeader(http.StatusOK)
 	out := &ndjsonWriter{Writer: w}
 	if gz {
-		out.gz = newSizedSegmentWriter(w, segmentBytes, expected)
+		if expected > segmentBytes {
+			out.gz = newSegmentWriter(w, segmentBytes)
+		} else {
+			zw := gzipWriters.Get().(*gzip.Writer)
+			zw.Reset(w)
+			out.gz = zw
+		}
 		out.Writer = out.gz
 	}
 	out.flusher, _ = w.(http.Flusher)
@@ -409,9 +373,9 @@ func startNDJSON(w http.ResponseWriter, r *http.Request, expected int) *ndjsonWr
 }
 
 // Flush pushes the lines written so far to the client: through the gzip
-// frame first, then the HTTP chunked writer. Past the serial part, the
-// gzip frame holds a segment's lines until the segment fills and is
-// deflated. A failed flush means the client went away; the stream's
+// frame first, then the HTTP chunked writer. A segmented frame holds a
+// segment's lines, past the first flush, until the segment fills and
+// is deflated. A failed flush means the client went away; the stream's
 // trailer protocol is its error channel.
 func (o *ndjsonWriter) Flush() {
 	if o.gz != nil {
@@ -422,10 +386,14 @@ func (o *ndjsonWriter) Flush() {
 	}
 }
 
-// Close ends the gzip frame, if any, once every segment is written.
+// Close ends the gzip frame, if any, once every segment is written, and
+// gives a compress/gzip writer back to its pool.
 func (o *ndjsonWriter) Close() {
 	if o.gz != nil {
 		_ = o.gz.Close()
+		if zw, ok := o.gz.(*gzip.Writer); ok {
+			gzipWriters.Put(zw)
+		}
 		o.gz = nil
 	}
 }

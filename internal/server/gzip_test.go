@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"compress/flate"
 	"compress/gzip"
+	"context"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"archline/internal/jobs"
 )
 
 // gzipBody is one body shape archlined compresses.
@@ -55,13 +58,6 @@ func gzipSize(zw *gzip.Writer, body []byte, perLine bool) int {
 	zw.Reset(&n)
 	writeLines(zw, body, perLine)
 	return int(n)
-}
-
-// lineWriter is a gzip writer: compress/gzip's or a segmentWriter.
-type lineWriter interface {
-	io.Writer
-	Flush() error
-	Close() error
 }
 
 // writeLines writes body to zw and closes it. perLine flushes after
@@ -119,37 +115,70 @@ func TestGzipLevelRatio(t *testing.T) {
 	}
 }
 
-// TestSegmentWriterBytes: below one segment the segment writer writes
-// compress/gzip's bytes at gzipLevel for the same writes and flushes,
-// which covers cached bodies, job events and small sweeps. Past it, the
+// TestSegmentWriterBytes: a gzip body that is not segmented is
+// compress/gzip's at gzipLevel for the same writes and flushes: a
+// 2,000-point stream, the cached 65-point roofline and a job's event
+// stream, each served through the handlers. Past one segment, the
 // segments decode to the body and, deflated by the record encoder, come
 // to at most 0.92x the serial per-line encoding's wire size.
 func TestSegmentWriterBytes(t *testing.T) {
 	corpus := gzipCorpus(t)
-	h := New(Config{}).Handler()
-	req := httptest.NewRequest(http.MethodPost, "/v1/sweep/stream",
-		strings.NewReader(`{"platform_id":"xeon-phi","precision":"double","points":2000,"chunk_points":500}`))
-	req.Header.Set("Accept-Encoding", "identity")
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	events := []byte(`{"job":"5f1c","name":"fit","state":"running","replay":2}
-{"seq":1,"name":"queued","attrs":{"job":"5f1c","name":"fit"}}
-{"seq":2,"name":"running"}
-{"seq":3,"name":"suite.done","attrs":{"kernels":24}}
-{"seq":4,"name":"state","attrs":{"state":"done"}}
-{"done":true,"state":"done","events":4}
-`)
-	for _, c := range []gzipBody{corpus[1], {"small stream", rec.Body.Bytes(), true}, {"job events", events, true}} {
-		if len(c.data) >= segmentBytes {
-			t.Fatalf("%s body is %d bytes, want under one segment", c.name, len(c.data))
+	s := New(Config{})
+	h := s.Handler()
+	id, err := s.jobs.Submit(context.Background(), "narrated",
+		func(ctx context.Context, p *jobs.Progress) (any, error) {
+			p.Emit("stage", map[string]any{"n": 1})
+			return "narration over", nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The job's live channel closes once the job is terminal.
+	_, live, unsubscribe, _ := s.jobs.Subscribe(id)
+	for range live {
+	}
+	unsubscribe()
+	for _, c := range []struct {
+		name, method, path, body string
+	}{
+		{"small stream", http.MethodPost, "/v1/sweep/stream",
+			`{"platform_id":"xeon-phi","precision":"double","points":2000,"chunk_points":500}`},
+		{"cached roofline", http.MethodGet, "/v1/platforms/gtx-titan/roofline?points=65", ""},
+		{"job events", http.MethodGet, "/v1/jobs/" + id + "/events", ""},
+	} {
+		serve := func(accept string, rec http.ResponseWriter) {
+			req := httptest.NewRequest(c.method, c.path, strings.NewReader(c.body))
+			req.Header.Set("Accept-Encoding", accept)
+			h.ServeHTTP(rec, req)
 		}
-		var got, want bytes.Buffer
-		writeLines(newSegmentWriter(&got, segmentBytes), c.data, c.perLine)
+		plain := &writeRecorder{flushRecorder: flushRecorder{ResponseRecorder: httptest.NewRecorder()}}
+		serve("identity", plain)
+		zipped := httptest.NewRecorder()
+		serve("gzip", zipped)
+		body := plain.Body.Bytes()
+		if plain.Code != http.StatusOK || zipped.Code != http.StatusOK || zipped.Header().Get("Content-Encoding") != "gzip" {
+			t.Fatalf("%s: status %d identity, %d %q gzip", c.name, plain.Code, zipped.Code, zipped.Header().Get("Content-Encoding"))
+		}
+		if len(body) > segmentBytes {
+			t.Fatalf("%s body is %d bytes, want at most one segment", c.name, len(body))
+		}
+		// Replay the identity body's writes and flushes into
+		// compress/gzip: a flush follows the write that ends where it
+		// falls.
+		var want bytes.Buffer
 		zw := newGzipWriter(t, gzipLevel)
 		zw.Reset(&want)
-		writeLines(zw, c.data, c.perLine)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: segment writer wrote %d bytes, compress/gzip %d different ones", c.name, got.Len(), want.Len())
+		flushed, from := plain.flushed, 0
+		for _, end := range plain.writes {
+			_, _ = zw.Write(body[from:end])
+			for ; len(flushed) > 0 && flushed[0] <= end; flushed = flushed[1:] {
+				_ = zw.Flush()
+			}
+			from = end
+		}
+		_ = zw.Close()
+		if !bytes.Equal(zipped.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%s: served %d gzip bytes, compress/gzip writes %d different ones", c.name, zipped.Body.Len(), want.Len())
 		}
 	}
 
@@ -186,7 +215,7 @@ func TestSegmentWriterJoinsAfterFailedWrite(t *testing.T) {
 	corpus := gzipCorpus(t)[0].data
 	// Four times the corpus stream: more segments than the window holds.
 	stream := bytes.Repeat(corpus, 4)
-	dst := failAfter(150 << 10) // past the serial part, inside the first segment
+	dst := failAfter(150 << 10) // room for the header line and one full segment
 	zw := newSegmentWriter(&dst, segmentBytes)
 	var err error
 	for body := stream; len(body) > 0 && err == nil; {
@@ -212,43 +241,36 @@ func TestSegmentWriterJoinsAfterFailedWrite(t *testing.T) {
 	}
 }
 
-// FuzzSegmentWriter holds the segment writer to compress/gzip on an
-// arbitrary body, written in arbitrary pieces with arbitrary flushes at
-// a segment size small enough to cut it, under an arbitrary size hint:
-// gzip.Reader, which checks the CRC-32 and ISIZE, must return the body
-// exactly, and below one segment, with a hint under two, the bytes must
-// be compress/gzip's. Each splits byte is one write of 1 + s>>1 bytes,
-// flushed when s is odd, used in turn; repeat copies the body so short
-// inputs reach past the 32 KiB dictionary, and draws the hint too, in
-// 64ths of a segment, so that from 128 on the serial part ends at the
-// first flush.
+// FuzzSegmentWriter holds the segment writer to gzip.Reader, which
+// checks the CRC-32 and ISIZE, on an arbitrary body written in
+// arbitrary pieces with arbitrary flushes at a segment size small
+// enough to cut it: the member must decode to the body exactly. Each
+// splits byte is one write of 1 + s>>1 bytes, flushed when s is odd,
+// used in turn; repeat copies the body so short inputs reach past the
+// 32 KiB dictionary.
 func FuzzSegmentWriter(f *testing.F) {
 	f.Add([]byte(`{"seq":0,"points":[{"intensity":0.5,"regime":"M"}]}`+"\n"), []byte{1, 9, 200}, uint16(100), uint8(0))
 	f.Add([]byte("abcdefgh"), []byte{255}, uint16(40000), uint8(127))
 	f.Add([]byte(`{"seq":0,"points":[{"intensity":0.5,"regime":"M"}]}`+"\n"), []byte{3, 200, 7}, uint16(700), uint8(200))
 	f.Fuzz(func(t *testing.T, body, splits []byte, seg uint16, repeat uint8) {
 		body = bytes.Repeat(body, 1+int(repeat))
-		// At least len/32: each segment costs a deflater's allocation.
+		// At least len/32, so that a long body is not cut into
+		// thousands of segments.
 		segSize := max(1+int(seg), len(body)/32)
-		expected := int(repeat) * segSize / 64
-		var got, want bytes.Buffer
-		zw := newSizedSegmentWriter(&got, segSize, expected)
-		ref := newGzipWriter(t, gzipLevel)
-		ref.Reset(&want)
+		var got bytes.Buffer
+		zw := newSegmentWriter(&got, segSize)
 		for i, rest := 0, body; len(rest) > 0; i++ {
 			n, flush := len(rest), false
 			if len(splits) > 0 {
 				s := splits[i%len(splits)]
 				n, flush = min(n, 1+int(s>>1)), s&1 == 1
 			}
-			for _, w := range []lineWriter{zw, ref} {
-				if _, err := w.Write(rest[:n]); err != nil {
+			if _, err := zw.Write(rest[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if flush {
+				if err := zw.Flush(); err != nil {
 					t.Fatal(err)
-				}
-				if flush {
-					if err := w.Flush(); err != nil {
-						t.Fatal(err)
-					}
 				}
 			}
 			rest = rest[n:]
@@ -256,12 +278,8 @@ func FuzzSegmentWriter(f *testing.F) {
 		if err := zw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_ = ref.Close()
 		if out := gunzip(t, got.Bytes()); !bytes.Equal(out, body) {
 			t.Fatalf("decodes to %d bytes, want the %d-byte body", len(out), len(body))
-		}
-		if len(body) < segSize && expected < 2*segSize && !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("below one segment: %d bytes, compress/gzip wrote %d different ones", got.Len(), want.Len())
 		}
 	})
 }
@@ -270,9 +288,9 @@ func FuzzSegmentWriter(f *testing.F) {
 // per raw byte and compression ratio at levels 1-9 and HuffmanOnly, on
 // a stream body compressed flush-per-line and on a dashboard-sized
 // buffered body compressed whole. Its segments rows deflate the stream
-// body as the segment writer does past its serial part, in segmentBytes
-// segments each primed with the dictBytes before it: by the record
-// encoder, and by a level-4 flate.NewWriterDict per segment.
+// body in segmentBytes segments each primed with the dictBytes before
+// it, as the segment writer does past a stream's header line: by the
+// record encoder, and by a level-4 flate.NewWriterDict per segment.
 func BenchmarkGzipLevels(b *testing.B) {
 	levels := []struct {
 		name  string

@@ -335,7 +335,9 @@ type jobEventsTrailer struct {
 // handleJobEvents serves GET /v1/jobs/{id}/events: the job's progress
 // events as NDJSON — the retained history first, then live events as
 // they happen, ending with a trailer once the job is terminal. Uses the
-// same startNDJSON writer as the sweep stream.
+// same startNDJSON writer as the sweep stream; with no expected size, a
+// gzip event stream goes through compress/gzip, so every flushed line
+// reaches the client.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) (any, *apiError) {
 	id := r.PathValue("id")
 	replay, live, unsubscribe, ok := s.jobs.Subscribe(id)

@@ -68,14 +68,14 @@ type streamTrailer struct {
 // roofline sweep as newline-delimited JSON, flushed chunk by chunk so
 // server memory is bounded whatever the grid size and clients can start
 // consuming immediately. An identity stream holds one chunk. A gzip
-// stream expected to span two segments (about 5,250 points) is
-// deflated in segments from the header line's flush on: the writer
-// holds each segmentBytes of lines until the segment fills and is
-// deflated, with at most 2×GOMAXPROCS in flight (gzip.go). A smaller
-// one goes out line by line until its first segmentBytes. The header
-// line is always flushed before any point is computed. Responses are
-// not cached — the stream is recomputed per request and counts as one
-// model evaluation.
+// stream expected to exceed one segment (2,622 points or more) is
+// deflated in segments: the header line's flush cuts the first, and the
+// writer then holds each segmentBytes of lines until the segment fills
+// and is deflated, with at most 2×GOMAXPROCS in flight (gzip.go). A
+// smaller one goes through compress/gzip, line by line. The header line
+// is always flushed before any point is computed. Responses are not
+// cached — the stream is recomputed per request and counts as one model
+// evaluation.
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) (any, *apiError) {
 	var req sweepStreamRequest
 	if aerr := s.decodeBody(r, &req); aerr != nil {

@@ -20,21 +20,23 @@ echo "ci: check"
 echo "ci: fuzz"
 # Short runs: the NDJSON chunk encoder against encoding/json, its float
 # formatter against strconv, the segmented gzip writer against
-# compress/gzip under an arbitrary size hint, the record encoder
-# against compress/flate's reader, stats.Select against
-# sort-then-index, the platform description's decode/encode round trip,
-# arbitrary /v1 request bodies against the no-5xx contract, and
-# arbitrary registry blobs through the recovery scan's verification. A
-# failing input is written under the package's testdata/fuzz/ and then
-# replays in every go test run.
-go test -run '^$' -fuzz '^FuzzStreamChunk$' -fuzztime 10s ./internal/server/
-go test -run '^$' -fuzz '^FuzzJSONFloat$' -fuzztime 10s ./internal/server/
-go test -run '^$' -fuzz '^FuzzSegmentWriter$' -fuzztime 10s ./internal/server/
-go test -run '^$' -fuzz '^FuzzRecordEncoder$' -fuzztime 10s ./internal/server/
-go test -run '^$' -fuzz '^FuzzV1Body$' -fuzztime 10s ./internal/server/
-go test -run '^$' -fuzz '^FuzzSelect$' -fuzztime 10s ./internal/stats/
-go test -run '^$' -fuzz '^FuzzPlatformRoundTrip$' -fuzztime 10s ./internal/machine/
-go test -run '^$' -fuzz '^FuzzVerifyBlob$' -fuzztime 10s ./internal/registry/
+# gzip.Reader, the record encoder against compress/flate's reader,
+# stats.Select against sort-then-index, the platform description's
+# decode/encode round trip, arbitrary /v1 request bodies against the
+# no-5xx contract, and arbitrary registry blobs through the recovery
+# scan's verification. A failing input is written under the package's
+# testdata/fuzz/ and then replays in every go test run. Go minimizes
+# each new interesting input for up to 60 s by default, so one slow
+# minimization could stall the rest of a 10 s run; -fuzzminimizetime
+# caps each at 1 s.
+go test -run '^$' -fuzz '^FuzzStreamChunk$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
+go test -run '^$' -fuzz '^FuzzJSONFloat$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
+go test -run '^$' -fuzz '^FuzzSegmentWriter$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
+go test -run '^$' -fuzz '^FuzzRecordEncoder$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
+go test -run '^$' -fuzz '^FuzzV1Body$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server/
+go test -run '^$' -fuzz '^FuzzSelect$' -fuzztime 10s -fuzzminimizetime 1s ./internal/stats/
+go test -run '^$' -fuzz '^FuzzPlatformRoundTrip$' -fuzztime 10s -fuzzminimizetime 1s ./internal/machine/
+go test -run '^$' -fuzz '^FuzzVerifyBlob$' -fuzztime 10s -fuzzminimizetime 1s ./internal/registry/
 
 echo "ci: bench smoke"
 # One iteration per benchmark: proves the trajectory harness runs end to
